@@ -4,7 +4,9 @@
 //! of the electrical characteristics of the solar panel and the load"
 //! (paper Section 2.3). The intersection is unique for resistive loads
 //! because the PV current is non-increasing in voltage while the load line
-//! is strictly increasing; solved by bisection on `[0, Voc]`.
+//! is strictly increasing; solved by bisection on `[0, Voc]`. The
+//! bisection stops as soon as its bracket has collapsed to adjacent
+//! floats, which on a ~45 V bracket is after ~53 probes (DESIGN.md §13).
 
 use pv::cell::CellEnv;
 use pv::error::PvError;
@@ -14,8 +16,10 @@ use pv::units::{Amps, Ohms, Volts, Watts};
 
 use crate::converter::DcDcConverter;
 
-/// Bisection iterations for the operating-point solve (~1e-12 V resolution
-/// over a 50 V bracket).
+/// Upper bound on bisection steps for the operating-point solve. A bracket
+/// of tens of volts collapses to adjacent floats after ~53 halvings and the
+/// loop stops there; the bound only binds when the root sits near 0 V,
+/// where floats are dense and each halving still moves the midpoint.
 const BISECT_ITERS: u32 = 96;
 
 /// `true` when the solver sanitizer checks are compiled in: always in debug
@@ -88,8 +92,9 @@ impl SolveStats {
         self.solves.get()
     }
 
-    /// Number of PV I-V curve evaluations across all solves (~96 bisection
-    /// probes + 1 finish per solve).
+    /// Number of PV I-V curve evaluations across all solves: one per
+    /// bisection probe until the bracket collapses (~53 for a root of tens
+    /// of volts, at most 96), plus 1 finish per solve.
     pub fn pv_evals(&self) -> u64 {
         self.pv_evals.get()
     }
@@ -218,6 +223,15 @@ fn bisect_panel_voltage<G: PvGenerator + ?Sized>(
     bisect_voltage_range(generator, env, 0.0, voc.get(), f)
 }
 
+/// Bisects on `[lo, hi]` for the root of `f(V, I_pv(V))`, stopping once
+/// the midpoint equals an end of the bracket.
+///
+/// The early stop returns the same bits as running all [`BISECT_ITERS`]
+/// steps: once `mid` equals `lo` or `hi`, either branch leaves
+/// `0.5 * (lo + hi)` equal to that `mid` (for either sign of `f`, and for
+/// NaN), so every later step and the final midpoint reproduce it. The
+/// argument needs `lo <= hi`; only the skipped probes' memo traffic and
+/// work counters differ.
 fn bisect_voltage_range<G: PvGenerator + ?Sized>(
     generator: &G,
     env: CellEnv,
@@ -225,8 +239,12 @@ fn bisect_voltage_range<G: PvGenerator + ?Sized>(
     mut hi: f64,
     f: impl Fn(f64, f64) -> f64,
 ) -> Volts {
+    debug_assert!(lo <= hi, "inverted bisection bracket [{lo}, {hi}]");
     for _ in 0..BISECT_ITERS {
         let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            break;
+        }
         let i = generator
             .current_at(env, Volts::new(mid))
             .map(Amps::get)
@@ -420,9 +438,126 @@ mod tests {
             traced.output_current.get().to_bits()
         );
         assert_eq!(stats.solves(), 1);
-        // 96 bisection probes + 1 finish evaluation.
-        assert_eq!(stats.pv_evals(), 97);
+        // 53 bisection probes + 1 finish evaluation: after 53 halvings of
+        // the [0, Voc] bracket its ends are adjacent floats and the
+        // bisection stops (the 96-step cap does not bind).
+        assert_eq!(stats.pv_evals(), 54);
         assert!(stats.newton_iters() >= stats.pv_evals());
+    }
+
+    /// The pre-early-exit bisection: always all [`BISECT_ITERS`] steps.
+    fn fixed_bisect<G: PvGenerator + ?Sized>(
+        generator: &G,
+        env: CellEnv,
+        mut lo: f64,
+        mut hi: f64,
+        f: impl Fn(f64, f64) -> f64,
+    ) -> Volts {
+        for _ in 0..BISECT_ITERS {
+            let mid = 0.5 * (lo + hi);
+            let i = generator
+                .current_at(env, Volts::new(mid))
+                .map(Amps::get)
+                .unwrap_or(0.0);
+            if f(mid, i) < 0.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Volts::new(0.5 * (lo + hi))
+    }
+
+    /// [`solve_operating_point`] for the two bisected loads, on the
+    /// fixed-step reference bisection.
+    fn reference_solve(
+        array: &PvArray,
+        env: CellEnv,
+        dcdc: &DcDcConverter,
+        load: &LoadModel,
+    ) -> OperatingPoint {
+        let voc = array.open_circuit_voltage(env);
+        let v = match load {
+            LoadModel::Resistance(r) => {
+                let r_panel = dcdc.reflected_resistance(*r).get();
+                fixed_bisect(array, env, 0.0, voc.get(), |v, i| v / r_panel - i)
+            }
+            LoadModel::ConstantPower(p) => {
+                let p_panel = p.get() / dcdc.efficiency();
+                let mpp = array.mpp(env);
+                if p_panel > mpp.power.get() {
+                    return OperatingPoint::default();
+                }
+                fixed_bisect(array, env, mpp.voltage.get(), voc.get(), |v, i| {
+                    p_panel - v * i
+                })
+            }
+            LoadModel::Open => unreachable!("the open load is not bisected"),
+        };
+        finish(array, env, dcdc, v)
+    }
+
+    fn assert_same_bits(a: &OperatingPoint, b: &OperatingPoint, what: &str) {
+        let bits = |op: &OperatingPoint| {
+            [
+                op.panel_voltage.get().to_bits(),
+                op.panel_current.get().to_bits(),
+                op.output_voltage.get().to_bits(),
+                op.output_current.get().to_bits(),
+            ]
+        };
+        assert_eq!(bits(a), bits(b), "{what}: {a:?} vs {b:?}");
+    }
+
+    #[test]
+    fn early_exit_bisection_matches_fixed_step_bits() {
+        use rand::{Rng, SeedableRng};
+        let array = PvArray::solarcore_default();
+        let mut dcdc = DcDcConverter::solarcore_default();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xb15e_c700);
+        let mut cap_bound = 0;
+        for case in 0..200 {
+            let env = CellEnv::new(
+                pv::units::Irradiance::new(50.0 + 1050.0 * rng.gen::<f64>()),
+                Celsius::new(-10.0 + 70.0 * rng.gen::<f64>()),
+            );
+            dcdc.set_ratio(1.0 + 5.0 * rng.gen::<f64>()).unwrap();
+            // Ordinary resistive loads.
+            let r = Ohms::new(0.2 + 20.0 * rng.gen::<f64>());
+            // Tiny resistances put the root below ~1e-13 V, where floats
+            // are dense enough that all 96 steps run.
+            let tiny = Ohms::new(10f64.powf(-16.0 - 284.0 * rng.gen::<f64>()));
+            // Constant power just under (and at) what the panel can supply.
+            let p_max = array.mpp(env).power.get() * dcdc.efficiency();
+            let near_mpp = Watts::new(p_max * (1.0 - 1e-3 * rng.gen::<f64>().powi(4)));
+            for load in [
+                LoadModel::Resistance(r),
+                LoadModel::Resistance(tiny),
+                LoadModel::ConstantPower(near_mpp),
+                LoadModel::ConstantPower(Watts::new(p_max)),
+            ] {
+                let stats = SolveStats::new();
+                let fast = solve_operating_point_traced(&array, env, &dcdc, &load, &stats);
+                let reference = reference_solve(&array, env, &dcdc, &load);
+                assert_same_bits(&fast, &reference, &format!("case {case} {load:?}"));
+                if stats.pv_evals() == u64::from(BISECT_ITERS) + 1 {
+                    cap_bound += 1;
+                }
+            }
+            // A zero-width bracket returns its one point without probing.
+            let v = array.mpp(env).voltage.get();
+            let f = |v: f64, i: f64| v - i;
+            let fast = bisect_voltage_range(&array, env, v, v, f);
+            let reference = fixed_bisect(&array, env, v, v, f);
+            assert_eq!(fast.get().to_bits(), v.to_bits());
+            assert_same_bits(
+                &finish(&array, env, &dcdc, fast),
+                &finish(&array, env, &dcdc, reference),
+                &format!("case {case} zero-width bracket at {v} V"),
+            );
+        }
+        // Every tiny-resistance case runs into the iteration cap.
+        assert_eq!(cap_bound, 200);
     }
 
     #[test]

@@ -228,24 +228,27 @@ struct EnvEntry {
     stamp: u64,
 }
 
-/// FNV-1a over the key bytes — deterministic, platform-independent set
-/// indexing (the same construction the determinism harness hashes with).
-fn fnv(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+// Both set counts are powers of two, so a set index is a mask of the hash.
+const _: () = assert!(SOLVE_SETS.is_power_of_two() && ENV_SETS.is_power_of_two());
+
+/// Word-wise multiply-xorshift mix of the key words — deterministic and
+/// platform-independent. The xorshift folds the product's well-mixed high
+/// half into the low bits the set mask keeps, so keys that differ only in
+/// their last few mantissa bits (a bisection tail) still spread over sets.
+fn mix(words: &[u64]) -> u64 {
+    let mut h: u64 = 0;
+    for &w in words {
+        h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^= h >> 32;
     }
     h
 }
 
-// Set indices are `hash % set-count` with set-count ≤ 1024, so the cast
+// The mask keeps at most the low 10 bits (set-count ≤ 1024), so the cast
 // cannot truncate.
 #[allow(clippy::cast_possible_truncation)]
 fn set_index(hash: u64, sets: usize) -> usize {
-    (hash % sets as u64) as usize
+    (hash & (sets as u64 - 1)) as usize
 }
 
 /// Mutable interior of an [`ArrayCache`].
@@ -275,7 +278,7 @@ impl CacheState {
     }
 
     fn lookup_solve(&mut self, key: SolveKey) -> Option<u64> {
-        let idx = set_index(fnv(&[key.0, key.1, key.2]), self.solves.len());
+        let idx = set_index(mix(&[key.0, key.1, key.2]), self.solves.len());
         let stamp = self.tick();
         for entry in self.solves[idx].iter_mut().flatten() {
             if entry.key == key {
@@ -289,7 +292,7 @@ impl CacheState {
     }
 
     fn store_solve(&mut self, key: SolveKey, current_bits: u64) {
-        let idx = set_index(fnv(&[key.0, key.1, key.2]), self.solves.len());
+        let idx = set_index(mix(&[key.0, key.1, key.2]), self.solves.len());
         let stamp = self.tick();
         let entry = SolveEntry {
             key,
@@ -302,7 +305,7 @@ impl CacheState {
     }
 
     fn lookup_env(&mut self, key: EnvKey) -> Option<EnvEntry> {
-        let idx = set_index(fnv(&[key.0, key.1]), self.envs.len());
+        let idx = set_index(mix(&[key.0, key.1]), self.envs.len());
         let stamp = self.tick();
         for entry in self.envs[idx].iter_mut().flatten() {
             if entry.key == key {
@@ -316,7 +319,7 @@ impl CacheState {
     /// Merges one field of the per-environment record, creating or
     /// refreshing the entry.
     fn update_env(&mut self, key: EnvKey, voc_bits: Option<u64>, mpp: Option<MppPoint>) {
-        let idx = set_index(fnv(&[key.0, key.1]), self.envs.len());
+        let idx = set_index(mix(&[key.0, key.1]), self.envs.len());
         let stamp = self.tick();
         let set = &mut self.envs[idx];
         for entry in set.iter_mut().flatten() {
@@ -581,6 +584,41 @@ mod tests {
         let e = env(1000.0, 25.0);
         assert!(cached.current_at(e, Volts::new(f64::NAN)).is_err());
         assert_eq!(cache.stats().misses, 0);
+    }
+
+    #[test]
+    fn set_index_stays_in_range_for_both_tables() {
+        for sets in [SOLVE_SETS, ENV_SETS] {
+            for hash in [0, 1, u64::MAX, u64::MAX - 1, 1 << 63] {
+                assert!(set_index(hash, sets) < sets);
+            }
+            for w in 0..4096_u64 {
+                let key = mix(&[w, w.rotate_left(17), !w]);
+                assert!(set_index(key, sets) < sets);
+            }
+        }
+    }
+
+    #[test]
+    fn bisection_tail_spreads_across_sets() {
+        // A bisection tail: 1,024 consecutive-ULP voltages under one
+        // (G, T). They differ only in the low mantissa bits of the last
+        // key word, and must not pile into a few sets.
+        let (g, t) = CachedArray::env_key(env(700.0, 30.0));
+        for v in [33.5_f64, 1e-12, 0.0] {
+            let mut load = [0_u32; SOLVE_SETS];
+            for ulp in 0..1024 {
+                let key = mix(&[g, t, v.to_bits() + ulp]);
+                load[set_index(key, SOLVE_SETS)] += 1;
+            }
+            let used = load.iter().filter(|&&n| n > 0).count();
+            let worst = load.iter().copied().max().unwrap_or(0);
+            assert!(used >= SOLVE_SETS / 2, "V = {v}: only {used} sets used");
+            assert!(
+                worst as usize <= 2 * WAYS,
+                "V = {v}: {worst} keys in one set"
+            );
+        }
     }
 
     #[test]

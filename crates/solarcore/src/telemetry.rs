@@ -300,7 +300,7 @@ impl DayInstruments {
     }
 
     /// Tallies one zero-iteration evaluation. A single counter bump, so
-    /// the memo-hit path (~97% of a cached day's evaluations) does not pay
+    /// the memo-hit path (~94% of a cached day's evaluations) does not pay
     /// for a full histogram record.
     pub fn note_zero_eval(&self) {
         self.zero_evals.set(self.zero_evals.get().saturating_add(1));
