@@ -29,8 +29,10 @@ use std::process::ExitCode;
 use bench::campaign::{
     compose_report, run, CampaignOutcome, CampaignSpec, RunOptions, WaveProgress,
 };
+use bench::output::remove_if_present;
 use bench::parallel::default_threads;
 use bench::TextTable;
+use telemetry::Stopwatch;
 
 /// The smoke spec: two sites × one month each way, one armed scenario —
 /// four shards, a few hundred milliseconds in release.
@@ -77,10 +79,9 @@ fn scratch_checkpoint(tag: &str) -> PathBuf {
 /// Wall-clock seconds of `f` — scaling measurement only; every
 /// deterministic artifact byte is independent of this.
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    // lint:allow(determinism): wall-clock scaling measurement, never folded into deterministic output
-    let start = std::time::Instant::now();
+    let watch = Stopwatch::new();
     let out = f();
-    (out, start.elapsed().as_secs_f64())
+    (out, watch.elapsed_secs())
 }
 
 /// Per-wave progress line (stderr, so report pipes stay clean).
@@ -134,7 +135,7 @@ fn drive(smoke: bool, quiet: bool) -> Result<bool, Box<dyn Error>> {
     // checkpoint. `kill_after` one past a wave boundary guarantees the
     // in-flight wave is lost and must re-execute.
     let checkpoint = scratch_checkpoint(if smoke { "smoke" } else { "full" });
-    let _ = std::fs::remove_file(&checkpoint);
+    remove_if_present(&checkpoint)?;
     let kill_at = (shards / 2).max(1);
     let killed = run(&spec, &scenarios, &RunOptions {
         threads,
@@ -150,7 +151,7 @@ fn drive(smoke: bool, quiet: bool) -> Result<bool, Box<dyn Error>> {
         progress,
         ..RunOptions::default()
     })?;
-    let _ = std::fs::remove_file(&checkpoint);
+    remove_if_present(&checkpoint)?;
 
     let ok = gates_hold(&serial, &wide, &killed, &resumed, shards);
     print_rows(&serial);

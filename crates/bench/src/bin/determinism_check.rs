@@ -37,6 +37,7 @@ use bench::chaos::{
 };
 use bench::determinism::{day_hash, grid_hash};
 use bench::grid::{GridConfig, PolicyGrid};
+use bench::output::remove_if_present;
 use bench::parallel::default_threads;
 use faults::FaultPlan;
 use solarcore::{DaySimulation, Policy};
@@ -232,7 +233,10 @@ fn campaign_agrees() -> bool {
     let scenarios = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
     let checkpoint = std::env::temp_dir()
         .join(format!("solarcore_determinism_{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&checkpoint);
+    if let Err(e) = remove_if_present(&checkpoint) {
+        eprintln!("determinism: FAIL — cannot clear {}: {e}", checkpoint.display());
+        return false;
+    }
     let n = default_threads().max(2);
 
     let serial = run_campaign(&spec, &scenarios, &RunOptions {
@@ -258,7 +262,10 @@ fn campaign_agrees() -> bool {
         kill_after: None,
         ..RunOptions::default()
     });
-    let _ = std::fs::remove_file(&checkpoint);
+    if let Err(e) = remove_if_present(&checkpoint) {
+        eprintln!("determinism: FAIL — cannot clear {}: {e}", checkpoint.display());
+        return false;
+    }
 
     let (Ok(serial), Ok(wide), Ok(killed), Ok(resumed)) = (serial, wide, killed, resumed) else {
         eprintln!("determinism: FAIL — campaign run errored");

@@ -342,7 +342,9 @@ mod tests {
     #[test]
     fn telemetry_dir_writes_one_stream_per_cell() {
         let dir = std::env::temp_dir().join("solarcore_grid_telemetry_test");
-        let _ = std::fs::remove_dir_all(&dir);
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
         let grid = PolicyGrid::compute(&GridConfig {
             sites: vec![Site::phoenix_az()],
             seasons: vec![Season::Jan],
@@ -356,7 +358,7 @@ mod tests {
         // The cell's three policy runs share one stream in run order.
         assert_eq!(stream.matches("\"day_start\"").count(), 3);
         assert_eq!(stream.matches("\"day_summary\"").count(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -32,6 +32,20 @@ pub fn write_json<T: Serialize>(
     Ok(path)
 }
 
+/// Removes the file at `path` if there is one. A missing file is not an
+/// error; any other failure is, since a stale checkpoint left in place
+/// would be resumed instead of started fresh.
+///
+/// # Errors
+///
+/// Propagates every filesystem error except `NotFound`.
+pub fn remove_if_present(path: &Path) -> std::io::Result<()> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
 /// A JSON value with deterministic, byte-stable rendering.
 ///
 /// Object keys render sorted (the [`BTreeMap`] is the only object
@@ -156,7 +170,6 @@ fn push_indent(out: &mut String, n: usize) {
 /// values become `null`.
 #[allow(clippy::float_cmp)]
 fn write_num(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
     if !v.is_finite() {
         out.push_str("null");
         return;
@@ -164,9 +177,10 @@ fn write_num(out: &mut String, v: f64) {
     if v == v.trunc() && v.abs() < 1e15 {
         // |v| < 1e15 keeps the cast exact, well inside i64 range.
         #[allow(clippy::cast_possible_truncation)]
-        let _ = write!(out, "{}", v as i64);
+        let n = v as i64;
+        out.push_str(&n.to_string());
     } else {
-        let _ = write!(out, "{v}");
+        out.push_str(&v.to_string());
     }
 }
 
@@ -179,10 +193,7 @@ fn write_str(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
@@ -318,6 +329,6 @@ mod tests {
         let path = write_json(&dir, "t", &vec![1, 2, 3]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains('1'));
-        let _ = std::fs::remove_file(path);
+        std::fs::remove_file(path).unwrap();
     }
 }

@@ -194,22 +194,12 @@ pub fn is_anomalous(period: &PeriodSummary, day_error: f64) -> bool {
 
 /// Renders the human-readable timeline.
 pub fn render(report: &TraceReport) -> String {
-    use std::fmt::Write;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "golden telemetry day: Golden CO / Jan / HM2 / MPPT&Opt / day 0"
-    );
-    let _ = writeln!(
-        out,
-        "stream: {} records, {} minute events",
+    let mut out = format!(
+        "golden telemetry day: Golden CO / Jan / HM2 / MPPT&Opt / day 0\n\
+         stream: {} records, {} minute events\n\
+         \n  period       budget_w   drawn_w   track_err  timeline\n",
         report.stream.lines().count(),
         report.periods.iter().map(|p| p.minutes).sum::<usize>(),
-    );
-    let _ = writeln!(
-        out,
-        "\n  period       budget_w   drawn_w   track_err  timeline"
     );
     for p in &report.periods {
         let (h, m) = (p.start_minute / 60, p.start_minute % 60);
@@ -223,17 +213,15 @@ pub fn render(report: &TraceReport) -> String {
         } else {
             ""
         };
-        let _ = writeln!(
-            out,
-            "  {h:02}:{m:02}       {:>8.2}  {:>8.2}   {:>8.4}  {bar}{flag}",
+        out.push_str(&format!(
+            "  {h:02}:{m:02}       {:>8.2}  {:>8.2}   {:>8.4}  {bar}{flag}\n",
             p.mean_budget_w, p.mean_drawn_w, p.mean_error,
-        );
+        ));
     }
-    let _ = writeln!(
-        out,
-        "\n  tracking error: stream replay {:.12}  day_summary {:.12}",
+    out.push_str(&format!(
+        "\n  tracking error: stream replay {:.12}  day_summary {:.12}\n",
         report.stream_tracking_error, report.summary_tracking_error,
-    );
+    ));
     out
 }
 

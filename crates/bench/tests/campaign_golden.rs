@@ -16,8 +16,10 @@
 use std::path::{Path, PathBuf};
 
 use bench::campaign::{compose_report, run, run_shard, CampaignSpec, RunOptions};
+use bench::output::remove_if_present;
 use bench::parallel::default_threads;
 use serde_json::Value;
+use telemetry::Stopwatch;
 
 /// The pinned campaign digest (also `determinism.digest` in the
 /// artifact). Drift means a simulation-visible behaviour change.
@@ -47,9 +49,9 @@ fn load_report() -> Value {
         let spec = committed_spec();
         let scenarios = repo_path("scenarios");
         let time = |opts: &RunOptions| {
-            let start = std::time::Instant::now();
+            let watch = Stopwatch::new();
             let outcome = run(&spec, &scenarios, opts).expect("campaign runs");
-            (outcome, start.elapsed().as_secs_f64())
+            (outcome, watch.elapsed_secs())
         };
         let (serial, serial_s) = time(&RunOptions::default());
         let threads = default_threads().max(2);
@@ -60,7 +62,7 @@ fn load_report() -> Value {
         assert_eq!(serial.digest(), wide.digest(), "bless run is nondeterministic");
         let checkpoint = std::env::temp_dir()
             .join(format!("solarcore_campaign_bless_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&checkpoint);
+        remove_if_present(&checkpoint).expect("checkpoint removable");
         run(&spec, &scenarios, &RunOptions {
             threads,
             checkpoint: Some(checkpoint.clone()),
@@ -75,7 +77,7 @@ fn load_report() -> Value {
             ..RunOptions::default()
         })
         .expect("resume runs");
-        let _ = std::fs::remove_file(&checkpoint);
+        remove_if_present(&checkpoint).expect("checkpoint removable");
         let shards = serial.rows.len();
         let report = compose_report(&serial, &resumed, &[(1, serial_s), (threads, wide_s)], shards);
         std::fs::write(&path, report.render()).expect("report written");

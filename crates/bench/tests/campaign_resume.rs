@@ -11,6 +11,7 @@
 use std::path::{Path, PathBuf};
 
 use bench::campaign::{run, CampaignSpec, RunOptions};
+use bench::output::remove_if_present;
 use proptest::prelude::*;
 
 /// A four-shard spec with single-shard waves, so every kill point
@@ -53,7 +54,7 @@ proptest! {
             .expect("uninterrupted run");
 
         let checkpoint = scratch(k);
-        let _ = std::fs::remove_file(&checkpoint);
+        remove_if_present(&checkpoint).expect("checkpoint removable");
         let killed = run(&spec, &scenarios, &RunOptions {
             threads: 1,
             checkpoint: Some(checkpoint.clone()),
@@ -68,7 +69,7 @@ proptest! {
             ..RunOptions::default()
         })
         .expect("resume runs");
-        let _ = std::fs::remove_file(&checkpoint);
+        remove_if_present(&checkpoint).expect("checkpoint removable");
 
         prop_assert!(!killed.complete, "kill_after={k} did not abort");
         prop_assert!(resumed.complete);
@@ -100,7 +101,7 @@ fn tampered_checkpoint_rows_survive_resume_verbatim() {
     let spec = CampaignSpec::parse(SPEC).expect("spec parses");
     let scenarios = scenarios_dir();
     let checkpoint = scratch(99);
-    let _ = std::fs::remove_file(&checkpoint);
+    remove_if_present(&checkpoint).expect("checkpoint removable");
     run(&spec, &scenarios, &RunOptions {
         threads: 1,
         checkpoint: Some(checkpoint.clone()),
@@ -126,7 +127,7 @@ fn tampered_checkpoint_rows_survive_resume_verbatim() {
         ..RunOptions::default()
     })
     .expect("resume runs");
-    let _ = std::fs::remove_file(&checkpoint);
+    remove_if_present(&checkpoint).expect("checkpoint removable");
 
     let reference = run(&spec, &scenarios, &RunOptions::default()).expect("clean run");
     assert_eq!(

@@ -12,13 +12,19 @@
 //! 3. **Structural determinism** — the profile's structural section
 //!    renders byte-identically at 1 and 2 worker threads, twice over,
 //!    while the campaign digest matches the unprofiled run's.
+//! 4. **No phantom minutes** — a shard span's `sim_minutes` is exactly
+//!    the sum over its day spans: the minutes before each day's first
+//!    sample are charged to nobody.
 
-use bench::campaign::{run, CampaignSpec, RunOptions};
+use bench::campaign::{run, run_shard_profiled, CampaignSpec, RunOptions, Shard};
 use bench::profile::{collapse_lines, parse_collapsed, structural_json};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use solarcore::Policy;
+use solarenv::{Month, Site};
 use std::path::{Path, PathBuf};
-use telemetry::{Profiler, Stopwatch};
+use telemetry::{ProfNode, Profiler, Stopwatch};
+use workloads::Mix;
 
 /// Frame-name alphabet for generated stacks.
 const NAMES: [&str; 6] = ["prepare", "run_day", "tpr", "mppt", "shard", "io"];
@@ -122,4 +128,38 @@ fn structural_section_is_byte_stable_across_thread_counts() {
         "profiling changed the report bytes"
     );
     assert!(plain.profile.is_none(), "unprofiled run carried a profile");
+}
+
+/// A profiled shard's span node must carry exactly the sim minutes of its
+/// `run_day` children, for a 1-day and a multi-day shard alike.
+#[test]
+fn shard_sim_minutes_are_the_sum_of_its_days() {
+    let shard = Shard {
+        index: 0,
+        site: Site::phoenix_az(),
+        month: Month::Jan,
+        mix: Mix::hm2(),
+        policy: Policy::FixedPower(pv::units::Watts::new(60.0)),
+        scenario: "none".to_owned(),
+        plan: None,
+    };
+    let find = |nodes: &[ProfNode], name: &str| -> ProfNode {
+        nodes
+            .iter()
+            .find(|n| n.name == name)
+            .unwrap_or_else(|| panic!("no `{name}` span"))
+            .clone()
+    };
+    for days in [1, 3] {
+        let (_, _, prof) = run_shard_profiled(&shard, days, true).expect("shard runs");
+        let (tree, _) = prof.expect("profile requested");
+        let shard_node = find(&tree.roots, "shard");
+        let run_day = find(&shard_node.children, "run_day");
+        assert_eq!(run_day.calls, u64::from(days));
+        assert!(run_day.sim_minutes > 0, "days recorded no sim minutes");
+        assert_eq!(
+            shard_node.sim_minutes, run_day.sim_minutes,
+            "{days}-day shard charged minutes outside its days"
+        );
+    }
 }

@@ -67,9 +67,11 @@ impl PvArray {
     /// a single BP3180N module (180 W nameplate), matching the ≈75–150 W
     /// power range of the simulated 8-core processor (Figures 13–14 plot
     /// budgets up to ~100 W and ~150 W).
-    #[allow(clippy::expect_used)]
+    #[allow(
+        clippy::expect_used,
+        reason = "compile-time-constant paper layout, pinned by a unit test"
+    )]
     pub fn solarcore_default() -> Self {
-        // lint:allow(panic): compile-time-constant paper layout, pinned by a unit test
         Self::new(PvModule::bp3180n(), 1, 1).expect("static layout is valid")
     }
 

@@ -34,8 +34,8 @@
 //! ## Panic policy
 //!
 //! Non-test code in this crate must not panic on recoverable conditions:
-//! `unwrap`/`expect`/`panic!` are denied by the gate below and by
-//! `cargo xtask lint`; justified sites carry an explicit allow + waiver.
+//! `unwrap`/`expect`/`panic!` are denied by the clippy gate below;
+//! justified sites carry an explicit `#[allow(..., reason = "...")]`.
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),

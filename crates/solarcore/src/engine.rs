@@ -298,7 +298,7 @@ impl DaySimulation {
         // Wall-clock profiling of the day (fenced: measurements never
         // touch simulated state; a disabled handle costs one branch).
         let prof = &self.profiler;
-        prof.set_minute(setup.trace.samples().first().map_or(0, |s| s.minute_of_day));
+        prof.reset_minute(setup.trace.samples().first().map_or(0, |s| s.minute_of_day));
         let _prof_day = prof.scope(schema::PROF_RUN_DAY);
 
         let trace = &setup.trace;

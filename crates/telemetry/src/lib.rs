@@ -20,8 +20,8 @@
 //!   wall-clock [`prof`]iler, which is fenced so nothing it measures can
 //!   flow into a record, a digest, or any simulated value — so instrumented
 //!   simulations stay bitwise deterministic (the PR-2 contract);
-//!   `cargo xtask analyze` enforces the fence (the sole `Instant` waiver is
-//!   `crates/telemetry/src/prof.rs` in `xtask/lint-allow.txt`);
+//!   clippy's `disallowed_methods` (root `clippy.toml`) enforces the fence,
+//!   and `prof.rs` holds the sole `allow` for `Instant::now`;
 //! * a hierarchical wall-clock [`Profiler`] ([`prof`]): scoped [`ProfSpan`]
 //!   guards aggregate into a per-thread span tree ([`ProfTree`]) whose
 //!   *structure* (shape, call counts, sim-minute attribution) is
@@ -61,13 +61,13 @@
 //! ## Error policy
 //!
 //! Every emission path returns `Result<(), SinkError>` and call sites must
-//! propagate — `cargo xtask lint` refuses `unwrap`/`expect` waivers inside
-//! this crate, so there is no way to smuggle a panic into the telemetry
-//! path of a production run.
+//! propagate — this crate *forbids* `unwrap`/`expect`/`panic!`, so the
+//! compiler rejects any `#[allow]` that tries to smuggle a panic into the
+//! telemetry path of a production run.
 #![warn(missing_docs)]
 #![cfg_attr(
     not(test),
-    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    forbid(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 #![cfg_attr(test, allow(clippy::float_cmp))] // unit tests assert exact constructed values
 

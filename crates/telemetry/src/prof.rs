@@ -2,8 +2,8 @@
 //! deterministic telemetry path.
 //!
 //! Everything else in this crate runs on the **simulation clock**; this
-//! module is the one sanctioned home of ambient time (`std::time::Instant`,
-//! waived for the `determinism` analysis pass in `xtask/lint-allow.txt`).
+//! module is the one sanctioned home of ambient time (`std::time::Instant`;
+//! the workspace `clippy.toml` disallows `Instant::now` everywhere else).
 //! The fence is directional: the profiler *reads* the sim clock (via
 //! [`Profiler::set_minute`]) to attribute wall time to simulated time, but
 //! nothing ever flows back — no simulated value, no record, no digest input
@@ -43,6 +43,11 @@
 //! let _nothing = off.scope("day");
 //! assert!(off.tree().roots.is_empty());
 //! ```
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the profiler is the workspace's one reader of the wall clock; \
+              nothing it measures flows into a simulated value or a digest"
+)]
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -82,6 +87,10 @@ struct ProfInner {
     /// Arena indices of the currently-open spans, outermost first.
     stack: RefCell<Vec<usize>>,
     minute: Cell<u32>,
+    /// Simulation minutes the clock has advanced since the handle was
+    /// armed; a span is charged the growth of this counter while it is
+    /// open, so re-seating the clock at a day's start charges nothing.
+    elapsed: Cell<u64>,
     /// Trace-event log and its capacity (`0` disables capture).
     events: RefCell<Vec<TraceEvent>>,
     events_cap: usize,
@@ -131,6 +140,7 @@ impl Profiler {
                 nodes: RefCell::new(Vec::new()),
                 stack: RefCell::new(Vec::new()),
                 minute: Cell::new(0),
+                elapsed: Cell::new(0),
                 events: RefCell::new(Vec::new()),
                 events_cap: cap,
             })),
@@ -144,8 +154,21 @@ impl Profiler {
 
     /// Advances the simulation clock used for sim-time attribution.
     /// Call sites feed this the same minute-of-day they feed
-    /// [`Telemetry::set_minute`](crate::Telemetry::set_minute).
+    /// [`Telemetry::set_minute`](crate::Telemetry::set_minute). Every open
+    /// span is charged the forward step; the clock never runs backwards.
     pub fn set_minute(&self, minute: u32) {
+        if let Some(inner) = &self.inner {
+            let step = minute.saturating_sub(inner.minute.get());
+            inner.elapsed.set(inner.elapsed.get() + u64::from(step));
+            inner.minute.set(minute);
+        }
+    }
+
+    /// Moves the simulation clock to `minute` without charging the jump to
+    /// any open span. Call it at the first sample of each simulated day, so
+    /// the minutes before dawn are never counted and a span enclosing
+    /// several days accrues exactly the sum of its days.
+    pub fn reset_minute(&self, minute: u32) {
         if let Some(inner) = &self.inner {
             inner.minute.set(minute);
         }
@@ -171,6 +194,7 @@ impl Profiler {
                 node,
                 start: Instant::now(),
                 start_minute: inner.minute.get(),
+                start_elapsed: inner.elapsed.get(),
             }),
         }
     }
@@ -266,14 +290,15 @@ impl ProfInner {
     /// Closes the span for `node`: folds the measurement into the tree and
     /// pops the stack (defensively, in case guards were dropped out of
     /// order).
-    fn exit(&self, node: usize, wall_ns: u64, start_minute: u32, start: Instant) {
+    fn exit(&self, ctx: &SpanCtx, wall_ns: u64) {
+        let (node, start_minute) = (ctx.node, ctx.start_minute);
         if let Ok(mut nodes) = self.nodes.try_borrow_mut() {
             if let Some(raw) = nodes.get_mut(node) {
                 raw.calls += 1;
                 raw.wall_ns = raw.wall_ns.saturating_add(wall_ns);
                 raw.sim_minutes = raw
                     .sim_minutes
-                    .saturating_add(u64::from(self.minute.get().saturating_sub(start_minute)));
+                    .saturating_add(self.elapsed.get().saturating_sub(ctx.start_elapsed));
             }
         }
         let depth = match self.stack.try_borrow_mut() {
@@ -292,7 +317,7 @@ impl ProfInner {
             if let Ok(mut events) = self.events.try_borrow_mut() {
                 if events.len() < self.events_cap {
                     if let Some(raw_name) = self.name_of(node) {
-                        let start_ns = saturating_ns(start.duration_since(self.epoch));
+                        let start_ns = saturating_ns(ctx.start.duration_since(self.epoch));
                         events.push(TraceEvent {
                             name: raw_name,
                             start_ns,
@@ -346,7 +371,10 @@ struct SpanCtx {
     inner: Rc<ProfInner>,
     node: usize,
     start: Instant,
+    /// Minute-of-day at entry (stamped on the trace event).
     start_minute: u32,
+    /// The clock's `elapsed` counter at entry.
+    start_elapsed: u64,
 }
 
 /// RAII guard for one profiled scope; the measured interval ends when the
@@ -368,7 +396,7 @@ impl Drop for ProfSpan {
     fn drop(&mut self) {
         if let Some(ctx) = self.ctx.take() {
             let wall_ns = saturating_ns(ctx.start.elapsed());
-            ctx.inner.exit(ctx.node, wall_ns, ctx.start_minute, ctx.start);
+            ctx.inner.exit(&ctx, wall_ns);
         }
     }
 }
@@ -533,6 +561,28 @@ mod tests {
         assert_eq!(prof.minute(), 160);
         let tree = prof.tree();
         assert_eq!(tree.roots[0].sim_minutes, 60);
+    }
+
+    /// Two simulated days (07:30–17:30 and 07:00–17:00) inside one parent:
+    /// re-seating the clock at each dawn charges nothing, so the parent
+    /// accrues exactly the sum of its days and no pre-dawn minutes.
+    #[test]
+    fn reset_minute_charges_no_span() {
+        let prof = Profiler::enabled();
+        {
+            let _shard = prof.scope("shard");
+            for (dawn, dusk) in [(450, 1050), (420, 1020)] {
+                prof.reset_minute(dawn);
+                let _day = prof.scope("day");
+                for minute in dawn..=dusk {
+                    prof.set_minute(minute);
+                }
+            }
+        }
+        let tree = prof.tree();
+        let shard = &tree.roots[0];
+        assert_eq!(shard.children[0].sim_minutes, 1200);
+        assert_eq!(shard.sim_minutes, 1200);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! ## Panic policy
 //!
 //! Non-test code in this crate must not panic on recoverable conditions:
-//! `unwrap`/`expect`/`panic!` are denied by the gate below and by
-//! `cargo xtask lint`; justified sites carry an explicit allow + waiver.
+//! `unwrap`/`expect`/`panic!` are denied by the clippy gate below;
+//! justified sites carry an explicit `#[allow(..., reason = "...")]`.
 #![cfg_attr(
     not(test),
     deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)

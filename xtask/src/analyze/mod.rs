@@ -1,24 +1,24 @@
 //! `cargo xtask analyze`: token-level static analysis the compiler cannot
-//! do for us (ISSUE 2).
+//! do for us.
 //!
-//! Three passes run over every crate source, experiment binaries included:
+//! Two passes run over every crate source, experiment binaries included:
 //!
 //! * [`dims`] — dimensional analysis: learns the unit algebra from
 //!   `crates/pv/src/units.rs` and shadows it through arithmetic, catching
 //!   cross-unit `+`/`-`, undeclared product dimensions, and `.0` unit
 //!   laundering even after values pass through raw `f64` locals;
-//! * [`determinism`] — hash-ordered iteration, ambient randomness/time,
-//!   and completion-order reductions that would break bitwise
-//!   reproducibility of the day simulations;
 //! * [`exhaustive`] — wildcard/catch-all arms on the state-machine enums
 //!   of `solarcore::{controller,policy}` and `archsim::dvfs`, plus
 //!   dead (never-referenced) states.
+//!
+//! Determinism hazards (hash-ordered collections, ambient time,
+//! completion-order receives) are not a pass here: the root `clippy.toml`
+//! lists them as `disallowed-types` / `disallowed-methods`.
 //!
 //! Findings use the same waiver machinery as `cargo xtask lint`: inline
 //! `// lint:allow(<pass>): <reason>` markers and `xtask/lint-allow.txt`
 //! path prefixes — and like lint, an unused waiver is itself an error.
 
-pub mod determinism;
 pub mod dims;
 pub mod exhaustive;
 pub mod units;
@@ -31,9 +31,9 @@ use crate::syntax::files;
 use crate::syntax::source::SourceFile;
 
 /// The passes `cargo xtask analyze` runs; scopes unused-waiver accounting.
-pub const PASSES: &[&str] = &[dims::PASS, determinism::PASS, exhaustive::PASS];
+pub const PASSES: &[&str] = &[dims::PASS, exhaustive::PASS];
 
-/// Runs the three analysis passes over the workspace rooted at `root`.
+/// Runs the two analysis passes over the workspace rooted at `root`.
 pub fn run(root: &Path) -> Result<Report, String> {
     let mut allow = lint::Allowlist::load(root)?;
     let algebra = units::UnitAlgebra::learn(root)?;
@@ -47,8 +47,8 @@ pub fn run(root: &Path) -> Result<Report, String> {
     let enums = exhaustive::Enums::learn(root)?;
     let mut report = Report::default();
 
-    // Unlike lint, the experiment binaries are included: their serialized
-    // output is exactly what the determinism pass protects.
+    // Unlike lint, the experiment binaries are included: their unit
+    // arithmetic and enum matches are as much in scope as the libraries'.
     let files = files::collect_crate_sources(root, true)?;
     report.files_scanned = files.len();
 
@@ -67,9 +67,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
         let mut findings = Vec::new();
         if dims::applies_to(&rel) {
             findings.extend(dims::check(&src, &algebra));
-        }
-        if determinism::applies_to(&rel) {
-            findings.extend(determinism::check(&src));
         }
         if exhaustive::applies_to(&rel) {
             findings.extend(exhaustive::check(&src, &enums));

@@ -45,9 +45,19 @@ const MIN_BENCHMARKS: usize = 5;
 pub fn run(root: &Path, smoke: bool) -> ExitCode {
     let scratch = root.join("target").join("bench-report.jsonl");
     if let Some(parent) = scratch.parent() {
-        let _ = std::fs::create_dir_all(parent);
+        if let Err(err) = std::fs::create_dir_all(parent) {
+            eprintln!("xtask bench: cannot create {}: {err}", parent.display());
+            return ExitCode::FAILURE;
+        }
     }
-    let _ = std::fs::remove_file(&scratch);
+    // A stale report from an earlier run must not be mistaken for this one.
+    match std::fs::remove_file(&scratch) {
+        Err(err) if err.kind() != std::io::ErrorKind::NotFound => {
+            eprintln!("xtask bench: cannot remove {}: {err}", scratch.display());
+            return ExitCode::FAILURE;
+        }
+        _ => {}
+    }
 
     let mode = if smoke { "smoke" } else { "full" };
     println!("xtask bench: running cargo bench -p bench ({mode} mode)");

@@ -11,7 +11,7 @@
 //!
 //! Known approximations (all precision-only): macro bodies, struct
 //! literals, indexing and casts evaluate to ⊤; closures keep their body
-//! (for the call-graph and sharing passes) but evaluate to ⊤ as values;
+//! (its sanitizer sites are still checked) but evaluate to ⊤ as values;
 //! `break`/`continue`/`return` are modelled as statements but not inside
 //! value-position expressions (an arm like `B => break` falls through as ⊤
 //! instead of jumping, which can only widen downstream states).
@@ -165,9 +165,8 @@ pub enum Expr {
         /// Referent.
         expr: Box<Expr>,
     },
-    /// A closure `|params| body` (also `move` closures). The body is kept
-    /// so the call-graph and sharing passes can see through it; the
-    /// interpreter evaluates it for its effects and call sites only.
+    /// A closure `|params| body` (also `move` closures). The body is kept;
+    /// the interpreter evaluates it for its effects and call sites only.
     Closure {
         /// Parameter patterns (type ascriptions stripped).
         params: Vec<Pat>,
@@ -180,7 +179,7 @@ pub enum Expr {
     /// array (every element has `e`'s abstract value).
     Array(Vec<Expr>),
     /// `expr as Type` — the value is ⊤ (casts truncate/saturate), but the
-    /// operand is kept for the call-graph and capture passes.
+    /// operand is kept and evaluated for its effects.
     Cast(Box<Expr>),
     /// Anything the grammar does not model (macros, literals,
     /// struct expressions, indexing).

@@ -1,11 +1,11 @@
 //! `cargo xtask flow`: dataflow analysis over per-function abstract
-//! interpretation (ISSUE 6).
+//! interpretation.
 //!
 //! Where `lint` matches lines and `analyze` matches token shapes, `flow`
 //! evaluates *values*: it parses each function into a lightweight AST
 //! ([`ast`]), runs a big-step abstract interpreter over the interval
 //! domain ([`interval`], [`range`]) seeded with the workspace's physical
-//! contracts ([`seeds`]), and reports three kinds of findings:
+//! contracts ([`seeds`]), and reports two kinds of findings:
 //!
 //! * [`range`] — interval/range analysis of physical quantities. Every
 //!   `invariants::assert_*` sanitizer call is decomposed into elementary
@@ -16,18 +16,13 @@
 //! * [`schema`] — telemetry schema conformance: every emission site
 //!   names its stream via a declared `schema::` constant, and every
 //!   declared constant is referenced somewhere (dead-schema report).
-//! * [`errpath`] — error-path hygiene: dropped `Result`s from
-//!   unambiguously fallible calls (`let _ =`, `.ok();`, bare calls).
 //!
 //! All findings use the shared diagnostic format and waiver machinery of
 //! [`crate::lint`] (inline `// lint:allow(<pass>): <reason>` markers and
 //! `xtask/lint-allow.txt` prefixes, with unused waivers failing the run).
 //!
-//! The range pass runs *interprocedurally*: [`run`] first builds the
-//! workspace call graph ([`crate::graph`]) and feeds its derived function
-//! summaries back as a [`range::CallOracle`], so call sites the hand-written
-//! seeds don't cover still get non-⊤ return intervals, and closed-world
-//! parameters get intervals joined over every call site.
+//! The range pass is intra-procedural: a call the hand-written seeds do
+//! not cover evaluates to ⊤, so its checks stay runtime checks.
 //!
 //! `cargo xtask flow` additionally enforces a *proof-coverage ratchet*:
 //! the proven fraction of sanitizer checks is compared against the
@@ -39,7 +34,6 @@
 //! ([`crate::jsonout`]), so the artifact is byte-diffable.
 
 pub mod ast;
-pub mod errpath;
 // The domain and interpreter compare exact f64 interval endpoints (bounds
 // are propagated bit-exactly, never computed approximately), so equality
 // on them is meaningful.
@@ -51,7 +45,6 @@ pub mod schema;
 pub mod seeds;
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -61,7 +54,7 @@ use crate::syntax::files;
 use crate::syntax::source::SourceFile;
 
 /// The passes `cargo xtask flow` runs; scopes unused-waiver accounting.
-pub const PASSES: &[&str] = &[range::PASS, schema::PASS, errpath::PASS];
+pub const PASSES: &[&str] = &[range::PASS, schema::PASS];
 
 /// Fallback proof-coverage floor, used only when no committed
 /// `results/flow_report.json` exists to ratchet against.
@@ -117,8 +110,6 @@ pub struct FlowOutcome {
     pub schema_constants: usize,
     /// Declared schema constants never referenced in code.
     pub dead_schema: usize,
-    /// Unambiguously fallible function names the must-use pass checks.
-    pub fallible_names: usize,
     /// Fraction of elementary sanitizer checks proven statically.
     pub proven_ratio: f64,
     /// The ratchet baseline this run was held to ([`baseline_ratio`]).
@@ -143,11 +134,11 @@ impl FlowOutcome {
 
     /// Human-readable per-pass summary lines.
     pub fn summary(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
+        format!(
             "xtask flow [range]: {} sanitizer sites, {} elementary checks — \
-             {} proven, {} runtime, {} violated ({:.1}% proven, ratchet {:.1}%)",
+             {} proven, {} runtime, {} violated ({:.1}% proven, ratchet {:.1}%)\n\
+             xtask flow [schema]: {} emission sites against {} declared constants, \
+             {} dead",
             self.sites.len(),
             self.checks(),
             self.count(range::CheckStatus::Proven),
@@ -155,23 +146,14 @@ impl FlowOutcome {
             self.count(range::CheckStatus::Violated),
             self.proven_ratio * 100.0,
             self.baseline * 100.0,
-        );
-        let _ = writeln!(
-            out,
-            "xtask flow [schema]: {} emission sites against {} declared constants, \
-             {} dead",
-            self.emission_sites, self.schema_constants, self.dead_schema,
-        );
-        let _ = write!(
-            out,
-            "xtask flow [must-use]: {} unambiguously fallible names tracked",
-            self.fallible_names,
-        );
-        out
+            self.emission_sites,
+            self.schema_constants,
+            self.dead_schema,
+        )
     }
 }
 
-/// Runs the three dataflow passes over the workspace rooted at `root`.
+/// Runs the two dataflow passes over the workspace rooted at `root`.
 ///
 /// Side-effect free: writing `results/flow_report.json` is a separate,
 /// explicit step ([`write_report`]) so tests can run the analysis without
@@ -181,16 +163,8 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
     let seeds = seeds::Seeds::learn(root)?;
     let schema_decl = schema::Schema::learn(root)?;
 
-    // Interprocedural front end: derive function summaries and closed-world
-    // parameter intervals from the whole-workspace call graph, then hold the
-    // range pass to them through the `CallOracle` hook. Sites the seeds
-    // already cover are unaffected; everything else gets sharper than ⊤.
-    let graph_sources = crate::graph::load_sources(root)?;
-    let analysis = crate::graph::analyze(&graph_sources, &seeds);
-    let oracle = &analysis.summary.oracle;
-
-    // Experiment binaries are in scope: their telemetry streams and error
-    // paths are exactly what the schema and must-use passes protect.
+    // Experiment binaries are in scope: their telemetry streams are
+    // exactly what the schema pass protects.
     let paths = files::collect_crate_sources(root, true)?;
     let mut sources = Vec::with_capacity(paths.len());
     for path in &paths {
@@ -199,7 +173,6 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
             fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         sources.push(SourceFile::parse(&rel, &text));
     }
-    let fallible = errpath::FallibleSet::learn_from(&sources);
 
     let mut report = Report {
         files_scanned: sources.len(),
@@ -217,7 +190,7 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
     for src in sources {
         let mut findings = Vec::new();
         if range::applies_to(&src.path) {
-            let (file_sites, file_violations) = range::check_with(&src, &seeds, Some(oracle));
+            let (file_sites, file_violations) = range::check(&src, &seeds);
             sites.extend(file_sites);
             findings.extend(file_violations);
         }
@@ -227,9 +200,6 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
             findings.extend(file_violations);
         }
         used_schema.extend(schema::collect_uses(&src));
-        if errpath::applies_to(&src.path) {
-            findings.extend(errpath::check(&src, &fallible));
-        }
         buffered.push((src, findings));
     }
 
@@ -270,7 +240,7 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
         .filter(|c| c.status == range::CheckStatus::Proven)
         .count();
     // With no sanitizer sites there is nothing to prove; the gate is
-    // vacuously satisfied (the schema/must-use passes still ran).
+    // vacuously satisfied (the schema pass still ran).
     #[allow(clippy::cast_precision_loss)] // check counts are tiny
     let proven_ratio = if checks == 0 {
         1.0
@@ -286,7 +256,6 @@ pub fn run(root: &Path) -> Result<FlowOutcome, String> {
         emission_sites,
         schema_constants: schema_decl.len(),
         dead_schema,
-        fallible_names: fallible.len(),
         proven_ratio,
         baseline,
         proof_gate_passed: proven_ratio >= baseline,
@@ -330,10 +299,6 @@ pub fn report_json(outcome: &FlowOutcome) -> Json {
         ("baseline", Json::Num(outcome.baseline)),
         ("gate_passed", Json::Bool(outcome.proof_gate_passed)),
         ("generated_by", Json::str("cargo xtask flow")),
-        (
-            "must_use",
-            Json::obj(vec![("fallible_names", Json::int(outcome.fallible_names))]),
-        ),
         ("per_crate", Json::obj(per_crate)),
         ("proven_ratio", Json::Num(outcome.proven_ratio)),
         (
@@ -420,12 +385,11 @@ mod tests {
             "proven ratio {:.4} below ratchet baseline {:.4} — sites: {:#?}",
             outcome.proven_ratio, outcome.baseline, outcome.sites
         );
-        // The interprocedural oracle must beat the best purely seed-driven
-        // run (20/27 ≈ 0.7407): derived summaries and closed-world params
-        // are load-bearing, not decorative.
+        // The seeds alone prove 20 of the 27 checks; fewer is a regression
+        // of the interpreter, whatever the committed baseline says.
         assert!(
-            outcome.proven_ratio > 0.7407,
-            "oracle added no proofs: ratio {:.4}",
+            outcome.proven_ratio >= 20.0 / 27.0,
+            "seed-driven proofs lost: ratio {:.4}",
             outcome.proven_ratio
         );
         assert!(outcome.emission_sites > 0, "engine emissions must be seen");
@@ -459,7 +423,9 @@ mod tests {
     #[test]
     fn baseline_never_drops_below_the_floor() {
         let dir = std::env::temp_dir().join("xtask-flow-ratchet-test");
-        let _ = fs::remove_dir_all(&dir);
+        if dir.exists() {
+            fs::remove_dir_all(&dir).expect("clear scratch dir");
+        }
         assert_eq!(baseline_ratio(&dir), PROVEN_RATIO_FLOOR);
         fs::create_dir_all(dir.join("results")).expect("mkdir");
         fs::write(
@@ -474,6 +440,6 @@ mod tests {
         )
         .expect("write");
         assert_eq!(baseline_ratio(&dir), 0.8);
-        let _ = fs::remove_dir_all(&dir);
+        fs::remove_dir_all(&dir).expect("remove scratch dir");
     }
 }

@@ -112,7 +112,6 @@ fn push_indent(out: &mut String, n: usize) {
 /// values become `null`.
 #[allow(clippy::float_cmp)]
 fn write_num(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
     if !v.is_finite() {
         out.push_str("null");
         return;
@@ -120,9 +119,10 @@ fn write_num(out: &mut String, v: f64) {
     if v == v.trunc() && v.abs() < 1e15 {
         // |v| < 1e15 keeps the cast exact, well inside i64 range.
         #[allow(clippy::cast_possible_truncation)]
-        let _ = write!(out, "{}", v as i64);
+        let n = v as i64;
+        out.push_str(&n.to_string());
     } else {
-        let _ = write!(out, "{v}");
+        out.push_str(&v.to_string());
     }
 }
 
@@ -135,10 +135,7 @@ fn write_str(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }

@@ -1,10 +1,8 @@
 //! The repo-specific lint driver: walks workspace sources, runs each pass,
 //! and applies the waiver mechanisms.
 //!
-//! Three passes enforce invariants the compiler cannot see (ISSUE 1):
+//! Two passes enforce invariants the compiler cannot see:
 //!
-//! * [`panics`] — no `unwrap()`/`expect()`/`panic!` in non-test library
-//!   code (crash-free operation under trace anomalies);
 //! * [`rawf64`] — public APIs of the physics crates must use `pv::units`
 //!   newtypes for physical quantities instead of raw `f64`;
 //! * [`casts`] — conversion-heavy modules must not use unchecked `as`
@@ -17,14 +15,11 @@
 //! * a workspace allowlist file `xtask/lint-allow.txt` with
 //!   `<pass> <path-prefix> [# comment]` lines for whole files/directories.
 //!
-//! Neither mechanism works inside a [`NO_WAIVER_ZONES`] entry: the
-//! telemetry crate's sink errors must be `Result`-propagated (a tracing
-//! layer that can crash the simulation it observes is worse than no
-//! tracing), so `panic` findings under `crates/telemetry/src` cannot be
-//! waived — the waiver itself is reported as a violation.
+//! Panic freedom is not a pass here: the library crates deny clippy's
+//! `unwrap_used`/`expect_used`/`panic`, and the telemetry crate forbids
+//! them, so the compiler rejects any `#[allow]` there.
 
 pub mod casts;
-pub mod panics;
 pub mod rawf64;
 
 use std::fmt;
@@ -37,7 +32,7 @@ use crate::syntax::source::SourceFile;
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
-    /// Which pass produced the finding (`panic`, `raw-f64`, `cast`).
+    /// Which pass produced the finding (`raw-f64`, `cast`, `dim`, ...).
     pub pass: &'static str,
     /// Path relative to the workspace root.
     pub path: String,
@@ -71,24 +66,7 @@ pub struct Report {
 /// The passes `cargo xtask lint` runs (analyze has its own set); used to
 /// scope unused-waiver accounting so each command only polices its own
 /// markers and allowlist entries.
-pub const PASSES: &[&str] = &["panic", "raw-f64", "cast"];
-
-/// `(pass, path-prefix)` pairs where waivers are themselves violations.
-///
-/// The telemetry crate is the observability layer for every simulation in
-/// the workspace; a panic in a sink would take the simulated day down with
-/// it. Sink fallibility is part of the contract (`SinkError`, propagated
-/// through `CoreError::Telemetry`), so no `unwrap()`/`expect()` waiver is
-/// ever acceptable there — return the error instead.
-pub const NO_WAIVER_ZONES: &[(&str, &str)] = &[("panic", "crates/telemetry/src")];
-
-/// `true` when a `pass` finding at `path` sits in a no-waiver zone, i.e.
-/// waiving it is forbidden.
-fn waiver_forbidden(pass: &str, path: &str) -> bool {
-    NO_WAIVER_ZONES
-        .iter()
-        .any(|(p, prefix)| *p == pass && path.starts_with(prefix))
-}
+pub const PASSES: &[&str] = &["raw-f64", "cast"];
 
 /// One `<pass> <path-prefix>` allowlist entry, with usage tracking.
 #[derive(Debug)]
@@ -156,34 +134,6 @@ impl Allowlist {
         hit
     }
 
-    /// Entries that try to waive a pass inside a no-waiver zone. Dead on
-    /// arrival: reported as violations and marked used so they are not
-    /// double-reported as stale.
-    pub fn forbidden(&mut self) -> Vec<Violation> {
-        let mut out = Vec::new();
-        for e in &mut self.entries {
-            let hits_zone = NO_WAIVER_ZONES.iter().any(|(pass, zone)| {
-                e.pass == *pass
-                    && (zone.starts_with(e.prefix.as_str()) || e.prefix.starts_with(zone))
-            });
-            if hits_zone {
-                e.used = true;
-                out.push(Violation {
-                    pass: "waiver",
-                    path: "xtask/lint-allow.txt".to_owned(),
-                    line: e.line,
-                    message: format!(
-                        "allowlist entry `{} {}` reaches into a no-waiver zone: \
-                         `{}` findings there must be fixed by propagating the \
-                         error as a `Result`, never waived — remove the line",
-                        e.pass, e.prefix, e.pass
-                    ),
-                });
-            }
-        }
-        out
-    }
-
     /// Stale entries for the given pass set: never matched a finding during
     /// this run, so they allow nothing and must be pruned.
     pub fn unused(&self, passes: &[&str]) -> Vec<Violation> {
@@ -215,11 +165,7 @@ pub fn apply_file_waivers(
 ) {
     let mut inline_hits: Vec<(usize, &'static str)> = Vec::new();
     for v in findings {
-        if waiver_forbidden(v.pass, &src.path) {
-            // No-waiver zone: the finding survives unconditionally, without
-            // consulting (or crediting) either waiver mechanism.
-            report.violations.push(v);
-        } else if allow.allows(v.pass, &src.path) {
+        if allow.allows(v.pass, &src.path) {
             report.waivers_used += 1;
         } else if src.has_waiver(v.line, v.pass) {
             report.waivers_used += 1;
@@ -230,20 +176,6 @@ pub fn apply_file_waivers(
     }
     for m in src.waiver_markers() {
         if !passes.contains(&m.pass.as_str()) {
-            continue;
-        }
-        if waiver_forbidden(&m.pass, &src.path) {
-            report.violations.push(Violation {
-                pass: "waiver",
-                path: src.path.clone(),
-                line: m.line,
-                message: format!(
-                    "`lint:allow({})` is ineffective here: `{}` findings in \
-                     this crate must be fixed by propagating the error as a \
-                     `Result`, never waived — remove the marker",
-                    m.pass, m.pass
-                ),
-            });
             continue;
         }
         if !m.has_reason {
@@ -283,7 +215,6 @@ pub fn apply_file_waivers(
 pub fn run(root: &Path) -> Result<Report, String> {
     let mut allow = Allowlist::load(root)?;
     let mut report = Report::default();
-    report.violations.extend(allow.forbidden());
 
     // Experiment binaries are top-level executables where fail-fast on
     // I/O errors is the desired behaviour, so they are out of scope.
@@ -297,9 +228,6 @@ pub fn run(root: &Path) -> Result<Report, String> {
         let src = SourceFile::parse(&rel, &text);
 
         let mut findings = Vec::new();
-        if panics::applies_to(&rel) {
-            findings.extend(panics::check(&src));
-        }
         if rawf64::applies_to(&rel) {
             findings.extend(rawf64::check(&src));
         }
@@ -315,96 +243,4 @@ pub fn run(root: &Path) -> Result<Report, String> {
         .violations
         .sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     Ok(report)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A telemetry-crate source whose `unwrap()` carries a (well-formed)
-    /// inline waiver — both the finding and the waiver must be reported.
-    #[test]
-    fn panic_waivers_are_ineffective_in_the_telemetry_crate() {
-        let path = "crates/telemetry/src/sink.rs";
-        let text = "pub fn f(x: Option<u32>) -> u32 {\n    // lint:allow(panic): buffered writes cannot fail\n    x.unwrap()\n}\n";
-        let src = SourceFile::parse(path, text);
-        let findings = panics::check(&src);
-        assert!(!findings.is_empty(), "unwrap() must be found first");
-
-        let mut allow = Allowlist::default();
-        let mut report = Report::default();
-        apply_file_waivers(&mut allow, &src, findings, PASSES, &mut report);
-
-        assert_eq!(report.waivers_used, 0, "nothing may be waived here");
-        assert!(
-            report.violations.iter().any(|v| v.pass == "panic"),
-            "the unwrap finding must survive: {:?}",
-            report.violations
-        );
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.pass == "waiver" && v.message.contains("ineffective")),
-            "the dead marker must be flagged: {:?}",
-            report.violations
-        );
-    }
-
-    /// The same waiver outside the zone still works (the bench allowlist
-    /// mechanism is unchanged).
-    #[test]
-    fn panic_waivers_still_work_outside_the_zone() {
-        let path = "crates/bench/src/report.rs";
-        let text = "pub fn f(x: Option<u32>) -> u32 {\n    // lint:allow(panic): report builder, fail-fast is fine\n    x.unwrap()\n}\n";
-        let src = SourceFile::parse(path, text);
-        let findings = panics::check(&src);
-        assert!(!findings.is_empty());
-
-        let mut allow = Allowlist::default();
-        let mut report = Report::default();
-        apply_file_waivers(&mut allow, &src, findings, PASSES, &mut report);
-
-        assert_eq!(report.waivers_used, 1);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-    }
-
-    /// Allowlist entries reaching into the zone — exactly, more deeply, or
-    /// via a broader prefix — are violations; sibling crates are not.
-    #[test]
-    fn allowlist_entries_cannot_reach_into_the_zone() {
-        let mut allow = Allowlist {
-            entries: vec![
-                AllowEntry {
-                    pass: "panic".to_owned(),
-                    prefix: "crates/telemetry/src".to_owned(),
-                    line: 1,
-                    used: false,
-                },
-                AllowEntry {
-                    pass: "panic".to_owned(),
-                    prefix: "crates/".to_owned(),
-                    line: 2,
-                    used: false,
-                },
-                AllowEntry {
-                    pass: "panic".to_owned(),
-                    prefix: "crates/bench/src".to_owned(),
-                    line: 3,
-                    used: false,
-                },
-                AllowEntry {
-                    pass: "cast".to_owned(),
-                    prefix: "crates/telemetry/src".to_owned(),
-                    line: 4,
-                    used: false,
-                },
-            ],
-        };
-        let forbidden = allow.forbidden();
-        let lines: Vec<usize> = forbidden.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![1, 2], "{forbidden:?}");
-        // Flagged entries are consumed: they must not re-surface as stale.
-        assert!(allow.unused(&["panic"]).iter().all(|v| v.line == 3));
-    }
 }

@@ -3,26 +3,17 @@
 //! Commands:
 //!
 //! * `lint` — repo-specific static-analysis passes the compiler cannot
-//!   express: panic-free library code, unit-newtype discipline on public
-//!   APIs, and unchecked-cast detection in conversion-heavy modules.
+//!   express: unit-newtype discipline on public APIs and unchecked-cast
+//!   detection in conversion-heavy modules.
 //! * `analyze` — token-level analysis passes: dimensional consistency of
-//!   unit arithmetic, determinism hazards (hash ordering, ambient
-//!   time/randomness, completion-order folds), and exhaustiveness/dead
-//!   states of the controller and policy enums.
-//! * `flow` — dataflow analysis over a per-function CFG: interval/range
+//!   unit arithmetic, and exhaustiveness/dead states of the controller
+//!   and policy enums.
+//! * `flow` — dataflow analysis over a per-function AST: interval/range
 //!   analysis of physical quantities (proving runtime sanitizer checks
-//!   statically dischargeable, sharpened by the interprocedural summaries
-//!   from `graph`), telemetry schema conformance, and error-path hygiene
-//!   (dropped `Result`s). The proven fraction is held to a ratchet: it may
-//!   never drop below the baseline in the committed
-//!   `results/flow_report.json`; `--bless` rewrites the report to advance
-//!   the baseline.
-//! * `graph` — interprocedural call-graph analysis: workspace call graph
-//!   with SCC condensation, bottom-up derived function summaries
-//!   cross-checked against every hand-trusted seed contract, a
-//!   parallel-closure sharing pass proving `parallel_map` workers
-//!   race-free at the source level, and a reachability/dead-`pub` report.
-//!   Writes `results/graph_report.json`.
+//!   statically dischargeable) and telemetry schema conformance. The
+//!   proven fraction is held to a ratchet: it may never drop below the
+//!   baseline in the committed `results/flow_report.json`; `--bless`
+//!   rewrites the report to advance the baseline.
 //! * `determinism` — dynamic bitwise-reproducibility harness: runs the
 //!   policy-grid day simulations at 1 thread, N threads, and with shuffled
 //!   input order and compares canonical `f64::to_bits` hashes.
@@ -58,20 +49,28 @@
 //!   is catalogued in EXPERIMENTS.md, and the README crate map covers
 //!   every workspace crate.
 //! * `ci`   — the one-command verification gate, in dependency order:
-//!   lint → docs → clippy → analyze → flow → graph → doc → build →
-//!   test → determinism → chaos smoke → campaign smoke → profile smoke →
-//!   tdiff self-check → bench smoke.
+//!   lint → docs → clippy → analyze → flow → doc → build → test →
+//!   determinism → chaos smoke → campaign smoke → profile smoke → tdiff
+//!   self-check → bench smoke → perfbench tests.
+//!
+//! Guarantees the toolchain already gives are configured there, not
+//! re-proved here: `unsafe_code = "forbid"` and the must-use lints in the
+//! root `Cargo.toml`, the determinism fence (hash-ordered collections,
+//! ambient time, completion-order receives) in the root `clippy.toml`,
+//! and panic freedom as per-crate clippy `deny`/`forbid` attributes —
+//! all enforced by the `clippy -D warnings` step of `ci`.
 //!
 //! Exit status is non-zero when any pass finds a violation, so all
 //! commands can gate CI directly.
 //!
 //! The passes themselves live in the `xtask` library crate (see
-//! `src/lib.rs`) so the fixture ui tests can drive them directly.
+//! `src/lib.rs`) so their unit tests and the fixture ui tests can drive
+//! them directly.
 
 use std::path::PathBuf;
 use std::process::{Command, ExitCode};
 
-use xtask::{analyze, bench, docs, flow, graph, lint};
+use xtask::{analyze, bench, docs, flow, lint};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,7 +78,6 @@ fn main() -> ExitCode {
         Some("lint") => run_lint(),
         Some("analyze") => run_analyze(),
         Some("flow") => run_flow(args.iter().any(|a| a == "--bless")),
-        Some("graph") => run_graph(),
         Some("determinism") => run_determinism(),
         Some("bench") => {
             let smoke = args.iter().any(|a| a == "--smoke");
@@ -112,15 +110,14 @@ fn main() -> ExitCode {
 
 fn print_usage() {
     eprintln!(
-        "usage: cargo xtask <lint | docs | analyze | flow [--bless] | graph | determinism | \
+        "usage: cargo xtask <lint | docs | analyze | flow [--bless] | determinism | \
          bench [--smoke] | trace | chaos [--smoke] | campaign [--smoke] | profile [--smoke] | \
          tdiff <a> <b> | ci>"
     );
     eprintln!("  lint         run the repo-specific static-analysis passes");
-    eprintln!("  analyze      run dimensional, determinism and exhaustiveness analysis");
-    eprintln!("  flow         run interval, schema-conformance and error-path dataflow passes");
+    eprintln!("  analyze      run dimensional and exhaustiveness analysis");
+    eprintln!("  flow         run the interval and schema-conformance dataflow passes");
     eprintln!("               (--bless rewrites results/flow_report.json, advancing the ratchet)");
-    eprintln!("  graph        run call-graph summary, parallel-sharing and reachability passes");
     eprintln!("  determinism  verify bit-identical day-sim output across thread counts");
     eprintln!("  bench        run the criterion suite and write BENCH_pr3.json");
     eprintln!("  trace        run the golden telemetry day and render its timeline");
@@ -141,8 +138,9 @@ fn print_usage() {
     eprintln!("  tdiff        schema-aware diff of two telemetry/profile/campaign artifacts");
     eprintln!("  docs         check DESIGN.md anchors, the EXPERIMENTS.md catalog, the crate map");
     eprintln!(
-        "  ci           lint, docs, clippy, analyze, flow, graph, doc, build, test, \
-         determinism, chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke"
+        "  ci           lint, docs, clippy, analyze, flow, doc, build, test, determinism, \
+         chaos smoke, campaign smoke, profile smoke, tdiff self-check, bench smoke, \
+         perfbench tests"
     );
 }
 
@@ -245,27 +243,6 @@ fn run_flow(bless: bool) -> ExitCode {
         }
         Err(err) => {
             eprintln!("xtask flow: error: {err}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_graph() -> ExitCode {
-    let root = workspace_root();
-    match graph::run(&root) {
-        Ok(outcome) => {
-            println!("{}", outcome.summary());
-            match graph::write_report(&root, &outcome) {
-                Ok(path) => println!("xtask graph: report written to {}", path.display()),
-                Err(err) => {
-                    eprintln!("xtask graph: error: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            finish("graph", Ok(outcome.report))
-        }
-        Err(err) => {
-            eprintln!("xtask graph: error: {err}");
             ExitCode::FAILURE
         }
     }
@@ -489,11 +466,6 @@ fn run_ci() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    println!("xtask ci: running xtask graph");
-    if run_graph() != ExitCode::SUCCESS {
-        return ExitCode::FAILURE;
-    }
-
     // Rustdoc gate: crate-level docs and doc links must stay warning-free
     // (the observability contract in `solarcore::telemetry` is rustdoc).
     let doc: &[&str] = &["doc", "--no-deps", "--workspace"];
@@ -570,6 +542,22 @@ fn run_ci() -> ExitCode {
     // emits a well-formed BENCH_pr3.json; does not assert timing.
     println!("xtask ci: running xtask bench --smoke");
     if bench::run(&root, true) != ExitCode::SUCCESS {
+        return ExitCode::FAILURE;
+    }
+
+    // perfbench lives outside the workspace (its own lockfile), so the
+    // workspace build and test steps never compile it; its tests catch an
+    // API break in the bench crate before a benchmark run does.
+    let perfbench: &[&str] = &[
+        "test",
+        "--release",
+        "--offline",
+        "--locked",
+        "--manifest-path",
+        "perfbench/Cargo.toml",
+    ];
+    println!("xtask ci: running cargo {}", perfbench.join(" "));
+    if !run_cargo_step(&root, "perfbench test", perfbench) {
         return ExitCode::FAILURE;
     }
 

@@ -1,11 +1,9 @@
 //! Shared lexical infrastructure for every static-analysis command.
 //!
-//! `cargo xtask lint`, `analyze` and `flow` are three clients of the same
+//! `cargo xtask lint` and `analyze` are two clients of the same
 //! dependency-free source model: [`source::SourceFile`] (comment/string
 //! masking, `#[cfg(test)]` regions, waiver markers), the token
-//! [`lexer`], and the [`files`] workspace walker. They lived inside
-//! `lint`/`analyze` historically; `flow` made a third copy untenable, so
-//! the shared layer now has one home.
+//! [`lexer`], and the [`files`] workspace walker.
 
 pub mod files;
 pub mod lexer;

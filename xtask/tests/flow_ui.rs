@@ -3,7 +3,7 @@
 //! Each `tests/fixtures/flow/<name>.rs` file is a Rust snippet with a
 //! directive header:
 //!
-//! * `//@ pass: range | schema | must-use` — which pass to run (required);
+//! * `//@ pass: range | schema` — which pass to run (required);
 //! * `//@ path: crates/.../file.rs` — the virtual workspace path the
 //!   fixture is checked under (default `crates/fixture/src/lib.rs`);
 //! * `//@ checks: <P> proven, <R> runtime, <V> violated` — range only:
@@ -16,13 +16,12 @@
 //! `BLESS=1` to rewrite the `.expected` files from actual output after an
 //! intentional diagnostic change.
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use xtask::flow::range::CheckStatus;
 use xtask::flow::schema::Schema;
 use xtask::flow::seeds::Seeds;
-use xtask::flow::{errpath, range, schema};
+use xtask::flow::{range, schema};
 use xtask::syntax::source::SourceFile;
 
 /// The schema the non-declaration schema fixtures are checked against
@@ -163,16 +162,6 @@ fn run_fixture(f: &Fixture) -> (Vec<String>, Option<(usize, usize, usize)>) {
             violations.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.message.cmp(&b.message)));
             (violations.iter().map(ToString::to_string).collect(), None)
         }
-        "must-use" => {
-            assert!(
-                errpath::applies_to(&f.path),
-                "{}: path {} is outside the must-use pass's scope",
-                f.name,
-                f.path
-            );
-            let violations = errpath::check(&src, &errpath::FallibleSet::for_tests());
-            (violations.iter().map(ToString::to_string).collect(), None)
-        }
         other => panic!("{}: unknown pass `{other}`", f.name),
     }
 }
@@ -181,7 +170,7 @@ fn run_fixture(f: &Fixture) -> (Vec<String>, Option<(usize, usize, usize)>) {
 fn fixtures_produce_exactly_their_expected_diagnostics() {
     let fixtures = load_fixtures();
     assert!(
-        fixtures.len() >= 8,
+        fixtures.len() >= 7,
         "expected the full fixture suite, found {}",
         fixtures.len()
     );
@@ -206,20 +195,18 @@ fn fixtures_produce_exactly_their_expected_diagnostics() {
             )
         });
         if actual != expected {
-            let _ = writeln!(
-                failures,
-                "== {} ==\n--- expected ---\n{expected}--- actual ---\n{actual}",
+            failures.push_str(&format!(
+                "== {} ==\n--- expected ---\n{expected}--- actual ---\n{actual}\n",
                 f.name
-            );
+            ));
         }
         if let (Some(want), Some(got)) = (f.checks, tally) {
             if want != got {
-                let _ = writeln!(
-                    failures,
+                failures.push_str(&format!(
                     "== {} == check tally mismatch: expected {want:?} \
-                     (proven, runtime, violated), got {got:?}",
+                     (proven, runtime, violated), got {got:?}\n",
                     f.name
-                );
+                ));
             }
         }
     }
@@ -231,7 +218,7 @@ fn fixtures_produce_exactly_their_expected_diagnostics() {
 #[test]
 fn suite_covers_every_pass_in_both_directions() {
     let fixtures = load_fixtures();
-    for pass in ["range", "schema", "must-use"] {
+    for pass in ["range", "schema"] {
         let of_pass: Vec<&Fixture> = fixtures.iter().filter(|f| f.pass == pass).collect();
         assert!(
             of_pass.iter().any(|f| {
