@@ -18,7 +18,9 @@
 # workspace tests, the bitwise-reproducibility harness (cargo xtask
 # determinism — now also proves traced runs are bit-transparent and
 # their JSONL byte-identical, and that a sharded campaign digests
-# identically across thread counts and a kill/resume cycle), the chaos
+# identically across thread counts and a kill/resume cycle), the golden
+# telemetry day (cargo xtask trace: the stream reproduces Table 7 and no
+# tracking call ends at the max_rounds cap), the chaos
 # smoke gate (cargo xtask chaos --smoke), the campaign smoke gate
 # (cargo xtask campaign --smoke: four shards, byte-identity across
 # 1/N threads and kill+resume, DESIGN.md §18), the profile smoke gate

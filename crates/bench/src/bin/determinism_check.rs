@@ -45,10 +45,11 @@ use solarenv::{Season, Site};
 use telemetry::{JsonlSink, Profiler, Telemetry};
 use workloads::Mix;
 
-/// Day hash of the canonical AZ/Jul/HM2/MPPT&Opt run as of the PR that
-/// introduced the fault subsystem — the bit-transparency anchor. Any
-/// engine change that moves this moved *every* disarmed simulation.
-const BASELINE_DAY_HASH: u64 = 0x1fa5_23b6_19a8_188b;
+/// Day hash of the canonical AZ/Jul/HM2/MPPT&Opt run — the
+/// bit-transparency anchor, re-pinned when the MPPT tracker got its
+/// limit-cycle stopping rule (DESIGN.md §8). Any engine change that moves
+/// this moved *every* disarmed simulation.
+const BASELINE_DAY_HASH: u64 = 0xd0c1_2c79_6242_4967;
 
 fn main() -> ExitCode {
     let mut ok = true;

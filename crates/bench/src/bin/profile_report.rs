@@ -38,7 +38,7 @@ use workloads::Mix;
 
 /// The campaign digest `bench/tests/campaign_golden.rs` pins; the
 /// profiled full run must reproduce it exactly.
-const PINNED_CAMPAIGN_DIGEST: u64 = 0x0058_c774_acaf_e8e7;
+const PINNED_CAMPAIGN_DIGEST: u64 = 0xfa32_d2b2_c908_ec78;
 
 /// The same four-shard smoke spec the campaign runner uses.
 const SMOKE_SPEC: &str = r#"

@@ -6,7 +6,8 @@
 //! tracking timeline, and cross-checks the stream's recomputed
 //! tracking-error aggregate against the committed Table 7 artifact
 //! (`results/tab07_tracking_error.json`) to within 1e-9. Exit status is
-//! non-zero on any divergence, so CI can gate on it.
+//! non-zero on any divergence, or if any tracking call ended at the
+//! `max_rounds` cap, so CI can gate on it.
 
 use std::fs;
 use std::path::Path;
@@ -73,6 +74,14 @@ fn main() -> ExitCode {
             eprintln!("trace: FAIL — cannot read results/tab07_tracking_error.json: {err}");
             ok = false;
         }
+    }
+
+    // The tracker must stop at its convergence test (DESIGN.md §8); a
+    // call that runs to `max_rounds` is a limit cycle the test missed.
+    let cap_ends = report.cap_ends();
+    if cap_ends > 0 {
+        eprintln!("trace: FAIL — {cap_ends} tracking call(s) ended at the round cap");
+        ok = false;
     }
 
     if ok {

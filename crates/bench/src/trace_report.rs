@@ -14,7 +14,7 @@ use serde_json::Value;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use solarcore::{schema, DaySimulation, Policy};
+use solarcore::{schema, DaySimulation, Policy, TrackEnd};
 use solarenv::{Season, Site};
 use telemetry::{JsonlSink, Telemetry};
 use workloads::Mix;
@@ -39,6 +39,13 @@ struct MinuteSample {
     solar: bool,
 }
 
+/// One `track` span replayed from the stream.
+#[derive(Debug, Clone, Copy)]
+struct TrackSample {
+    minute: u32,
+    end: TrackEnd,
+}
+
 /// Aggregates of one [`PERIOD_MINUTES`]-wide timeline bucket.
 #[derive(Debug, Clone, Copy)]
 pub struct PeriodSummary {
@@ -56,6 +63,10 @@ pub struct PeriodSummary {
     pub mean_error: f64,
     /// Minutes that qualified for the error aggregate.
     pub qualifying: usize,
+    /// Tracking calls that started in the bucket.
+    pub tracks: usize,
+    /// Of those, calls the `max_rounds` safety cap ended ([`TrackEnd::Cap`]).
+    pub cap_ends: usize,
 }
 
 /// Everything `cargo xtask trace` prints and checks.
@@ -71,6 +82,13 @@ pub struct TraceReport {
     pub summary_tracking_error: f64,
     /// Tracking error reported by the in-process [`solarcore::DayResult`].
     pub result_tracking_error: f64,
+}
+
+impl TraceReport {
+    /// Tracking calls on the day that ended at the `max_rounds` cap.
+    pub fn cap_ends(&self) -> usize {
+        self.periods.iter().map(|p| p.cap_ends).sum()
+    }
 }
 
 /// Runs the golden day with a JSONL sink attached and replays the stream.
@@ -100,12 +118,20 @@ pub fn run_golden_day() -> TraceReport {
 /// cross-checking).
 fn replay(stream: String, result_tracking_error: f64) -> TraceReport {
     let mut samples = Vec::new();
+    let mut tracks = Vec::new();
     let mut summary_tracking_error = f64::NAN;
     for line in stream.lines() {
         let v: Value = serde_json::from_str(line).expect("stream line is valid JSON");
         let name = v["name"].as_str().unwrap_or_default();
         let is_event = v["t"].as_str() == Some("event");
-        if is_event && name == schema::EVENT_MINUTE {
+        if v["t"].as_str() == Some("span") && name == schema::SPAN_TRACK {
+            let label = v["fields"][schema::TRACK_END].as_str().expect("track end");
+            tracks.push(TrackSample {
+                minute: u32::try_from(v["start_minute"].as_u64().expect("span start"))
+                    .expect("minute fits u32"),
+                end: track_end(label),
+            });
+        } else if is_event && name == schema::EVENT_MINUTE {
             let fields = &v["fields"];
             samples.push(MinuteSample {
                 minute: u32::try_from(v["minute"].as_u64().expect("minute stamp"))
@@ -125,7 +151,7 @@ fn replay(stream: String, result_tracking_error: f64) -> TraceReport {
     }
 
     TraceReport {
-        periods: periods(&samples),
+        periods: periods(&samples, &tracks),
         stream_tracking_error: tracking_error(&samples),
         summary_tracking_error,
         result_tracking_error,
@@ -148,7 +174,19 @@ fn tracking_error(samples: &[MinuteSample]) -> f64 {
     solarcore::metrics::mean(&errors)
 }
 
-fn periods(samples: &[MinuteSample]) -> Vec<PeriodSummary> {
+/// Parses a [`schema::TRACK_END`] label.
+///
+/// # Panics
+///
+/// Panics on a label no [`TrackEnd`] renders (harness code).
+fn track_end(label: &str) -> TrackEnd {
+    [TrackEnd::Stalled, TrackEnd::Cycle, TrackEnd::Cap]
+        .into_iter()
+        .find(|end| end.label() == label)
+        .expect("known track end label")
+}
+
+fn periods(samples: &[MinuteSample], tracks: &[TrackSample]) -> Vec<PeriodSummary> {
     let mut out: Vec<PeriodSummary> = Vec::new();
     for s in samples {
         let start = s.minute / PERIOD_MINUTES * PERIOD_MINUTES;
@@ -161,6 +199,8 @@ fn periods(samples: &[MinuteSample]) -> Vec<PeriodSummary> {
                 mean_drawn_w: 0.0,
                 mean_error: 0.0,
                 qualifying: 0,
+                tracks: 0,
+                cap_ends: 0,
             });
         }
         let p = out.last_mut().expect("just pushed");
@@ -173,6 +213,13 @@ fn periods(samples: &[MinuteSample]) -> Vec<PeriodSummary> {
             let achievable = s.budget_w.min(s.chip_capacity_w).max(ERROR_FLOOR_W);
             p.mean_error += (achievable - s.drawn_w).abs() / achievable;
             p.qualifying += 1;
+        }
+    }
+    for t in tracks {
+        let start = t.minute / PERIOD_MINUTES * PERIOD_MINUTES;
+        if let Some(p) = out.iter_mut().find(|p| p.start_minute == start) {
+            p.tracks += 1;
+            p.cap_ends += usize::from(t.end == TrackEnd::Cap);
         }
     }
     for p in &mut out {
@@ -197,7 +244,7 @@ pub fn render(report: &TraceReport) -> String {
     let mut out = format!(
         "golden telemetry day: Golden CO / Jan / HM2 / MPPT&Opt / day 0\n\
          stream: {} records, {} minute events\n\
-         \n  period       budget_w   drawn_w   track_err  timeline\n",
+         \n  period       budget_w   drawn_w   track_err  tracks  cap  timeline\n",
         report.stream.lines().count(),
         report.periods.iter().map(|p| p.minutes).sum::<usize>(),
     );
@@ -214,13 +261,17 @@ pub fn render(report: &TraceReport) -> String {
             ""
         };
         out.push_str(&format!(
-            "  {h:02}:{m:02}       {:>8.2}  {:>8.2}   {:>8.4}  {bar}{flag}\n",
-            p.mean_budget_w, p.mean_drawn_w, p.mean_error,
+            "  {h:02}:{m:02}       {:>8.2}  {:>8.2}   {:>8.4}  {:>6}  {:>3}  {bar}{flag}\n",
+            p.mean_budget_w, p.mean_drawn_w, p.mean_error, p.tracks, p.cap_ends,
         ));
     }
     out.push_str(&format!(
-        "\n  tracking error: stream replay {:.12}  day_summary {:.12}\n",
-        report.stream_tracking_error, report.summary_tracking_error,
+        "\n  tracking error: stream replay {:.12}  day_summary {:.12}\n  \
+         tracking calls: {}, ended at the round cap: {}\n",
+        report.stream_tracking_error,
+        report.summary_tracking_error,
+        report.periods.iter().map(|p| p.tracks).sum::<usize>(),
+        report.cap_ends(),
     ));
     out
 }
@@ -266,6 +317,16 @@ mod tests {
         assert!(!report.periods.is_empty());
         let rendered = render(&report);
         assert!(rendered.contains("tracking error"));
+        // The tracker stops at its convergence test, never at the cap.
+        assert!(report.periods.iter().map(|p| p.tracks).sum::<usize>() > 0);
+        assert_eq!(report.cap_ends(), 0);
+    }
+
+    #[test]
+    fn track_end_labels_round_trip() {
+        for end in [TrackEnd::Stalled, TrackEnd::Cycle, TrackEnd::Cap] {
+            assert_eq!(track_end(end.label()), end);
+        }
     }
 
     #[test]
@@ -287,6 +348,8 @@ mod tests {
             mean_drawn_w: 50.0,
             mean_error: 0.5,
             qualifying: 30,
+            tracks: 2,
+            cap_ends: 0,
         };
         assert!(is_anomalous(&p, 0.1));
         assert!(!is_anomalous(&p, 0.4));

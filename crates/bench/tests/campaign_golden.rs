@@ -23,7 +23,7 @@ use telemetry::Stopwatch;
 
 /// The pinned campaign digest (also `determinism.digest` in the
 /// artifact). Drift means a simulation-visible behaviour change.
-const PINNED_DIGEST: &str = "0058c774acafe8e7";
+const PINNED_DIGEST: &str = "fa32d2b2c908ec78";
 
 /// Shards in the committed year-fleet campaign: 4 sites × 12 months ×
 /// 1 mix × 2 policies × 1 scenario.

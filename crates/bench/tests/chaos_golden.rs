@@ -30,9 +30,9 @@ const TOLERANCE: f64 = 1e-9;
 /// MPPT&Opt. Latency `None` means the detector (correctly) never fired.
 const PINNED: [(&str, f64, Option<u64>, u64); 4] = [
     ("clean_control", 1.0, None, 0),
-    ("stuck_noon", 0.982_896_491_602_303, Some(1), 1),
-    ("converter_derate_ramp", 0.838_451_170_630_942_8, None, 0),
-    ("monsoon_cliff", 0.827_393_298_268_750_3, None, 0),
+    ("stuck_noon", 0.983_736_696_357_674_2, Some(1), 1),
+    ("converter_derate_ramp", 0.838_641_702_589_608_5, None, 0),
+    ("monsoon_cliff", 0.827_599_638_326_927_3, None, 0),
 ];
 
 fn report_path() -> PathBuf {
@@ -129,7 +129,7 @@ fn artifact_digest_is_pinned() {
     let report = load_report();
     assert_eq!(
         report["digest"].as_str(),
-        Some("e1fd4595e9a2fb37"),
+        Some("37b1820d4367cb66"),
         "chaos report digest drifted — regenerate deliberately and re-pin"
     );
     assert_eq!(

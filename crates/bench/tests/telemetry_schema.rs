@@ -132,7 +132,20 @@ fn track_spans_describe_the_mppt_loop() {
         assert!(f[schema::FINAL_POWER_W].as_f64().is_some());
         assert!(f[schema::RATIO_K].as_f64().is_some());
         assert!(f[schema::FORCED].as_bool().is_some());
+        assert!(
+            matches!(
+                f[schema::TRACK_END].as_str(),
+                Some("stalled" | "cycle" | "cap")
+            ),
+            "track end {:?}",
+            f[schema::TRACK_END]
+        );
     }
+    // The golden day's tracker stops on its convergence test, never at
+    // the `max_rounds` cap.
+    assert!(spans
+        .iter()
+        .all(|s| s["fields"][schema::TRACK_END].as_str() != Some("cap")));
     // The first span is the forced source-transition track.
     assert_eq!(spans[0]["fields"][schema::FORCED].as_bool(), Some(true));
 }

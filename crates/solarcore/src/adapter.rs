@@ -139,16 +139,48 @@ impl LoadTuner {
         Ok(true)
     }
 
-    /// Ungates every core this tuner gated (used when transferring to the
-    /// utility supply, where the chip runs as a conventional CMP).
+    /// Ungates every gated core on the chip, whoever gated it, and forgets
+    /// this tuner's gating history (used on supply transfers: the chip runs
+    /// as a conventional CMP on utility power and comes up from a minimal
+    /// load on solar).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Arch`] if a remembered core id is no longer
-    /// valid for the chip (the tuner was moved across chips).
+    /// Returns [`CoreError::Arch`] if the chip rejects one of its own core
+    /// ids (an internal inconsistency).
     pub fn ungate_all(&mut self, chip: &mut MultiCoreChip) -> Result<(), CoreError> {
-        while let Some(id) = self.gated.pop() {
-            chip.gate(id, false)?;
+        self.gated.clear();
+        for id in (0..chip.core_count()).map(CoreId) {
+            if chip.core(id)?.is_gated() {
+                chip.gate(id, false)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Takes over the chip's gated cores as if this tuner had gated them,
+    /// so [`increase`](Self::increase) can bring each back. Used when
+    /// another allocator (the degraded-mode budget fill) gated and ungated
+    /// cores behind the tuner's back. Cores for which `tunable` returns
+    /// `false` (held gated by a fault mask) are left out. The stack is
+    /// ordered as [`decrease`](Self::decrease) would have built it —
+    /// highest index gated first — so the lowest-indexed core comes back
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Arch`] if the chip rejects one of its own core
+    /// ids (an internal inconsistency).
+    pub fn adopt_gated(
+        &mut self,
+        chip: &MultiCoreChip,
+        mut tunable: impl FnMut(CoreId) -> bool,
+    ) -> Result<(), CoreError> {
+        self.gated.clear();
+        for id in (0..chip.core_count()).rev().map(CoreId) {
+            if chip.core(id)?.is_gated() && tunable(id) {
+                self.gated.push(id);
+            }
         }
         Ok(())
     }
@@ -258,8 +290,45 @@ mod tests {
         for _ in 0..4 {
             tuner.decrease(&mut chip).unwrap();
         }
+        // A core gated behind the tuner's back comes back too.
+        chip.gate(CoreId(0), true).unwrap();
         tuner.ungate_all(&mut chip).unwrap();
         assert!(chip.cores().iter().all(|c| !c.is_gated()));
         assert!(tuner.gated_cores().is_empty());
+    }
+
+    #[test]
+    fn adopted_cores_can_all_be_ungated() {
+        // An outside allocator gates cores 5 and 7; the tuner's own stack
+        // still names core 6, which the allocator has since ungated.
+        let mut chip = MultiCoreChip::new(&Mix::l1());
+        chip.set_all_levels(VfLevel::lowest());
+        let mut tuner = LoadTuner::new(Policy::MpptRr);
+        tuner.decrease(&mut chip).unwrap(); // gates core 7
+        tuner.decrease(&mut chip).unwrap(); // gates core 6
+        chip.gate(CoreId(6), false).unwrap();
+        chip.gate(CoreId(5), true).unwrap();
+
+        tuner.adopt_gated(&chip, |_| true).unwrap();
+        assert_eq!(tuner.gated_cores(), &[CoreId(7), CoreId(5)]);
+        // Every increase that reports success ungates a gated core, until
+        // none is left.
+        for _ in 0..2 {
+            let gated_before = chip.cores().iter().filter(|c| c.is_gated()).count();
+            assert!(tuner.increase(&mut chip).unwrap());
+            let gated_after = chip.cores().iter().filter(|c| c.is_gated()).count();
+            assert_eq!(gated_after + 1, gated_before);
+        }
+        assert!(chip.cores().iter().all(|c| !c.is_gated()));
+    }
+
+    #[test]
+    fn adoption_leaves_masked_cores_alone() {
+        let mut chip = MultiCoreChip::new(&Mix::l1());
+        chip.gate(CoreId(2), true).unwrap();
+        chip.gate(CoreId(3), true).unwrap();
+        let mut tuner = LoadTuner::new(Policy::MpptOpt);
+        tuner.adopt_gated(&chip, |id| id != CoreId(2)).unwrap();
+        assert_eq!(tuner.gated_cores(), &[CoreId(3)]);
     }
 }

@@ -25,7 +25,9 @@ pub struct ControllerConfig {
     /// load when the controller detects a change in PV power supply",
     /// Figure 12).
     pub retrack_voltage_band: f64,
-    /// Maximum k/load tuning rounds per tracking invocation.
+    /// Maximum k/load tuning rounds per tracking invocation: a safety net.
+    /// Calls normally end on the controller's convergence test (see
+    /// [`TrackEnd`](crate::controller::TrackEnd)) within a few rounds.
     pub max_rounds: u32,
     /// Load-decrease steps applied after convergence as a power margin.
     pub margin_steps: u32,

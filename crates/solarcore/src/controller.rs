@@ -16,6 +16,24 @@
 //! Steps 2–3 repeat until output power stops improving (the inflection point
 //! of Figure 11); a final load-decrease step leaves the power margin the
 //! paper uses for robustness.
+//!
+//! # Stopping rule
+//!
+//! A round counts as *stalled* when either
+//!
+//! * its output power did not beat the power at the round's start by more
+//!   than `IMPROVEMENT_EPS_W`, or
+//! * it returned to a `(commanded ratio position, chip V/F state)` pair
+//!   already visited in this call without beating that visit's power by
+//!   more than `IMPROVEMENT_EPS_W` — the `+Δk / −2Δk` limit cycle that
+//!   perturb-and-observe falls into around the knee.
+//!
+//! `STALL_LIMIT` consecutive stalled rounds end the call; `max_rounds`
+//! is a safety net only. The position is the integer sum of *commanded*
+//! nudges (`+1` per probe, `−2` per reversal), not the applied ratio: under
+//! an actuator lag the applied ratio trails the command, and a revisit test
+//! on it would fire in the first rounds (DESIGN.md §8). [`TrackReport::end`]
+//! records which test ended the call.
 
 use std::rc::Rc;
 
@@ -43,6 +61,41 @@ const STALL_LIMIT: u32 = 2;
 
 /// Iteration cap for each voltage-restoration loop.
 const RESTORE_CAP: u32 = 128;
+
+/// Why a tracking invocation stopped iterating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TrackEnd {
+    /// Output power stopped improving round over round: the inflection
+    /// point of Figure 11.
+    #[default]
+    Stalled,
+    /// The probe/load-match loop came back to a state it had already
+    /// visited, with no power gain over that visit: a limit cycle around
+    /// the knee.
+    Cycle,
+    /// The `max_rounds` safety cap cut the call short.
+    Cap,
+}
+
+impl TrackEnd {
+    /// The telemetry label ([`schema::TRACK_END`](crate::schema::TRACK_END)).
+    pub fn label(self) -> &'static str {
+        match self {
+            Self::Stalled => "stalled",
+            Self::Cycle => "cycle",
+            Self::Cap => "cap",
+        }
+    }
+}
+
+/// One state the tracking loop has been in: commanded ratio position and
+/// chip V/F digest, with the output power last seen there.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    position: i32,
+    vf_digest: u64,
+    power_w: f64,
+}
 
 /// Everything one tracking invocation needs to touch.
 pub struct TrackingRig<'a> {
@@ -74,6 +127,8 @@ pub struct TrackReport {
     pub final_output_power: f64,
     /// Transfer ratio at the end of tracking.
     pub final_ratio: f64,
+    /// Why the tuning loop stopped.
+    pub end: TrackEnd,
 }
 
 /// The SolarCore MPPT + load-tuning controller.
@@ -274,6 +329,9 @@ impl SolarCoreController {
         report.actions += self.restore_vdd(rig)?;
 
         let mut stalls = 0;
+        let mut position = 0i32;
+        let mut visits: Vec<Visit> = Vec::new();
+        report.end = TrackEnd::Cap;
         for _ in 0..self.config.max_rounds {
             report.rounds += 1;
             let before = self.observe(rig.array, rig.env, rig.converter, rig.chip);
@@ -292,6 +350,7 @@ impl SolarCoreController {
 
             // Step 2: probe the transfer ratio.
             let applied = rig.converter.nudge_ratio(1);
+            position += 1;
             if applied != 0.0 {
                 report.actions += 1;
             }
@@ -299,6 +358,7 @@ impl SolarCoreController {
             if probed.output_current < before.output_current {
                 // Wrong direction: net −Δk.
                 rig.converter.nudge_ratio(-2);
+                position -= 2;
                 report.actions += 1;
                 report.reversals += 1;
             }
@@ -306,10 +366,20 @@ impl SolarCoreController {
             // Step 3: load-match the output voltage back down to Vdd.
             report.actions += self.match_down_to_vdd(rig)?;
 
-            let after = self.observe(rig.array, rig.env, rig.converter, rig.chip);
-            if after.output_power().get() <= before.output_power().get() + IMPROVEMENT_EPS_W {
+            let power = self
+                .observe(rig.array, rig.env, rig.converter, rig.chip)
+                .output_power()
+                .get();
+            let no_gain = power <= before.output_power().get() + IMPROVEMENT_EPS_W;
+            let cycled = record_visit(&mut visits, position, rig.chip.vf_digest(), power);
+            if no_gain || cycled {
                 stalls += 1;
                 if stalls >= STALL_LIMIT {
+                    report.end = if no_gain {
+                        TrackEnd::Stalled
+                    } else {
+                        TrackEnd::Cycle
+                    };
                     break;
                 }
             } else {
@@ -445,6 +515,32 @@ impl SolarCoreController {
             }
         }
         Ok(actions)
+    }
+}
+
+/// Records that the tracking loop ended a round in state
+/// `(position, vf_digest)` with output power `power_w`. Returns `true` when
+/// that state was visited before and `power_w` does not beat the power seen
+/// there by more than [`IMPROVEMENT_EPS_W`] — the loop is circling.
+fn record_visit(visits: &mut Vec<Visit>, position: i32, vf_digest: u64, power_w: f64) -> bool {
+    let here = Visit {
+        position,
+        vf_digest,
+        power_w,
+    };
+    match visits
+        .iter_mut()
+        .find(|v| v.position == position && v.vf_digest == vf_digest)
+    {
+        Some(seen) => {
+            let circling = power_w <= seen.power_w + IMPROVEMENT_EPS_W;
+            *seen = here;
+            circling
+        }
+        None => {
+            visits.push(here);
+            false
+        }
     }
 }
 
@@ -659,6 +755,94 @@ mod tests {
         let mpp = array.mpp(env).power.get();
         // Coarser steps: looser bound than per-core tracking.
         assert!(report.final_output_power > 0.6 * mpp);
+    }
+
+    /// Runs one tracking call on `parts` at irradiance `g`.
+    fn track_once(
+        controller: &mut SolarCoreController,
+        parts: &mut (PvArray, DcDcConverter, MultiCoreChip, LoadTuner),
+        g: f64,
+    ) -> TrackReport {
+        let (array, converter, chip, tuner) = parts;
+        controller
+            .track(&mut TrackingRig {
+                array,
+                env: env(g),
+                converter,
+                chip,
+                tuner,
+            })
+            .unwrap()
+    }
+
+    #[test]
+    fn tracking_at_the_knee_stops_on_its_convergence_test() {
+        // A cold call ramps the load up to the knee; the next call starts
+        // there, where `+Δk / −2Δk` perturb-and-observe limit-cycles. It
+        // must stop on the cycle (or a plain stall) within a few rounds,
+        // not grind on to `max_rounds`.
+        let mut controller = SolarCoreController::default();
+        let mut parts = rig_parts(Mix::hm2());
+        track_once(&mut controller, &mut parts, 800.0);
+        let report = track_once(&mut controller, &mut parts, 800.0);
+        let mpp = parts.0.mpp(env(800.0)).power.get();
+        assert!(
+            matches!(report.end, TrackEnd::Cycle | TrackEnd::Stalled),
+            "{report:?}"
+        );
+        assert!(report.rounds <= 8, "{report:?}");
+        assert!(
+            report.final_output_power >= 0.85 * mpp,
+            "tracked {:.1} W of {mpp:.1} W",
+            report.final_output_power
+        );
+    }
+
+    #[test]
+    fn actuator_lag_does_not_fake_a_revisit() {
+        // Under a 2-step lag the applied ratio trails the command and sits
+        // still for the first rounds while the load climbs. The revisit
+        // test keys on the commanded position, so the lagged call must
+        // climb as far as a lag-free one. (Keyed on the applied ratio, both
+        // rigs end by `Cycle` after 4 rounds at 0.78–0.83 of the MPP.)
+        let g = 300.0;
+        for mix in [Mix::hm2(), Mix::l1()] {
+            let mut direct = rig_parts(mix.clone());
+            let free = track_once(&mut SolarCoreController::default(), &mut direct, g);
+            let mut lagged = rig_parts(mix.clone());
+            lagged.1.set_actuator_lag(2);
+            let report = track_once(&mut SolarCoreController::default(), &mut lagged, g);
+            assert_ne!(report.end, TrackEnd::Cycle, "{}: {report:?}", mix.name());
+            assert!(
+                report.rounds > 2 * STALL_LIMIT,
+                "{}: {report:?}",
+                mix.name()
+            );
+            assert!(
+                report.final_output_power >= 0.99 * free.final_output_power,
+                "{}: lagged {report:?} vs lag-free {free:?}",
+                mix.name()
+            );
+        }
+    }
+
+    #[test]
+    fn no_call_ends_at_the_round_cap() {
+        for g in [200.0, 500.0, 800.0, 1000.0] {
+            for mix in Mix::all() {
+                let mut controller = SolarCoreController::default();
+                let mut parts = rig_parts(mix.clone());
+                for call in 0..2 {
+                    let report = track_once(&mut controller, &mut parts, g);
+                    assert_ne!(
+                        report.end,
+                        TrackEnd::Cap,
+                        "{} at {g} W/m², call {call}: {report:?}",
+                        mix.name()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

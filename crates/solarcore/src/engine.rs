@@ -425,17 +425,22 @@ impl DaySimulation {
             };
 
             if source != prev_source {
+                if !matches!(self.policy, Policy::FixedPower(_)) {
+                    // The tuner owns gating under MPPT, but the degraded
+                    // fallback fill may have gated cores behind its back:
+                    // bring every core back. (Fixed-Power never uses the
+                    // tuner; its fill re-allocates the chip on solar entry.)
+                    tuner.ungate_all(&mut chip)?;
+                }
                 match source {
                     PowerSource::Solar => {
                         // Come up from a minimal, safe load; the first
                         // tracking invocation ramps it to the MPP.
-                        tuner.ungate_all(&mut chip)?;
                         chip.set_all_levels(VfLevel::lowest());
                         force_track = true;
                     }
                     PowerSource::Utility => {
                         // Conventional CMP on grid power.
-                        tuner.ungate_all(&mut chip)?;
                         chip.set_all_levels(VfLevel::highest());
                     }
                 }
@@ -518,6 +523,7 @@ impl DaySimulation {
                                 }
                                 FsmTransition::Exited => {
                                     // Re-enter MPPT from a forced retrack.
+                                    hand_back_to_tuner(&mut tuner, &chip, plan, minute)?;
                                     force_track = true;
                                     if tel.is_enabled() {
                                         let (rejects, _) = detector_counts(&controller);
@@ -591,6 +597,7 @@ impl DaySimulation {
                                             field(schema::FINAL_POWER_W, report.final_output_power),
                                             field(schema::RATIO_K, report.final_ratio),
                                             field(schema::FORCED, forced),
+                                            field(schema::TRACK_END, report.end.label()),
                                         ],
                                     )?;
                                 }
@@ -1028,6 +1035,28 @@ fn enforce_plan_mask(
     }
 }
 
+/// Ends a degraded episode's hold on the chip. The fallback fill
+/// ([`allocate_budget`]) gated and ungated cores behind the tuner's back,
+/// so the tuner takes over the chip's gated set — less cores the plan holds
+/// lost at `minute` — and can ungate every one of them again.
+fn hand_back_to_tuner(
+    tuner: &mut LoadTuner,
+    chip: &MultiCoreChip,
+    plan: Option<&FaultPlan>,
+    minute: u32,
+) -> Result<(), CoreError> {
+    let lost: Vec<usize> = plan
+        .map(|p| p.core_constraints_at(minute))
+        .unwrap_or_default()
+        .into_iter()
+        .filter_map(|c| match c {
+            CoreConstraint::Loss { core } => Some(core),
+            CoreConstraint::Throttle { .. } => None,
+        })
+        .collect();
+    tuner.adopt_gated(chip, |id| !lost.contains(&id.0))
+}
+
 /// The detector's cumulative reject/retry counters (zeros when detection
 /// is not armed), for the `fault_*`/`degrade_*` telemetry events.
 fn detector_counts(controller: &SolarCoreController) -> (u64, u64) {
@@ -1373,6 +1402,54 @@ mod tests {
         let stream = sink.borrow().buffer().to_string();
         assert!(stream.contains("\"tpr_alloc\""));
         assert!(stream.contains("\"tpr_moves\""));
+    }
+
+    /// Gated cores on the chip, by index.
+    fn gated(chip: &MultiCoreChip) -> Vec<usize> {
+        (0..chip.core_count())
+            .filter(|&i| chip.core(CoreId(i)).unwrap().is_gated())
+            .collect()
+    }
+
+    #[test]
+    fn degraded_episode_exit_leaves_no_core_the_tuner_cannot_ungate() {
+        // MPPT gates cores 7 and 6 through the tuner; the degraded-mode
+        // fill then re-allocates the chip on its own, twice.
+        let mut chip = MultiCoreChip::new(&Mix::hm2());
+        chip.set_all_levels(VfLevel::lowest());
+        let mut tuner = LoadTuner::new(Policy::MpptRr);
+        tuner.decrease(&mut chip).unwrap();
+        tuner.decrease(&mut chip).unwrap();
+        allocate_budget(&mut chip, Watts::new(8.0)).unwrap();
+        allocate_budget(&mut chip, Watts::new(12.0)).unwrap();
+        assert!(!gated(&chip).is_empty(), "the fill must gate for this test");
+
+        hand_back_to_tuner(&mut tuner, &chip, None, 700).unwrap();
+        // Every successful increase changes the chip, and the tuner keeps
+        // going until nothing is gated.
+        loop {
+            let before = chip.vf_digest();
+            if !tuner.increase(&mut chip).unwrap() {
+                break;
+            }
+            assert_ne!(chip.vf_digest(), before, "an increase that changed nothing");
+        }
+        assert_eq!(gated(&chip), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn degraded_episode_exit_keeps_lost_cores_away_from_the_tuner() {
+        let plan = faults::parse_scenario(
+            "[scenario]\nname = \"t\"\n\n[[fault]]\nkind = \"core_loss\"\ncore = 3\nstart = 600\nend = 800\n",
+        )
+        .unwrap();
+        let mut chip = MultiCoreChip::new(&Mix::hm2());
+        allocate_budget(&mut chip, Watts::new(8.0)).unwrap();
+        chip.gate(CoreId(3), true).unwrap();
+        let mut tuner = LoadTuner::new(Policy::MpptOpt);
+        hand_back_to_tuner(&mut tuner, &chip, Some(&plan), 700).unwrap();
+        assert!(!tuner.gated_cores().contains(&CoreId(3)));
+        assert_eq!(tuner.gated_cores().len(), gated(&chip).len() - 1);
     }
 
     #[test]

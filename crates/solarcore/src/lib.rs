@@ -61,7 +61,7 @@ pub mod tpr;
 pub use adapter::LoadTuner;
 pub use battery::{BatteryDayResult, BatterySystem, BatteryTier};
 pub use config::ControllerConfig;
-pub use controller::{SolarCoreController, TrackingRig};
+pub use controller::{SolarCoreController, TrackEnd, TrackReport, TrackingRig};
 pub use degrade::{DegradationFsm, DegradeConfig, FaultDetector, FsmTransition, ProbeFault};
 pub use engine::{DayBatch, DayResult, DaySimulation, MinuteRecord, SimSetup};
 pub use error::CoreError;

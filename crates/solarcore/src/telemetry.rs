@@ -80,7 +80,7 @@ pub mod schema {
     /// tracking completes within the minute it fires in).
     ///
     /// Fields: [`ROUNDS`], [`ACTIONS`], [`REVERSALS`], [`FINAL_POWER_W`],
-    /// [`RATIO_K`], [`FORCED`].
+    /// [`RATIO_K`], [`FORCED`], [`TRACK_END`].
     pub const SPAN_TRACK: &str = "track";
 
     /// Histogram of Newton/bisection iterations per PV I-V solve.
@@ -194,6 +194,12 @@ pub mod schema {
     /// Field: `true` when tracking was forced (source transition) rather
     /// than periodic/event-triggered. Bool.
     pub const FORCED: &str = "forced";
+    /// Field: why the tracking loop stopped — `"stalled"` (no round-over-round
+    /// gain), `"cycle"` (returned to a visited state with no gain) or
+    /// `"cap"` (hit `max_rounds`); see [`TrackEnd`]. Str.
+    ///
+    /// [`TrackEnd`]: crate::controller::TrackEnd
+    pub const TRACK_END: &str = "end";
     /// Field: mean relative tracking error over qualifying solar minutes —
     /// exactly [`DayResult::mean_tracking_error`]. F64.
     ///

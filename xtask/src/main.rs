@@ -23,7 +23,8 @@
 //! * `trace` — runs the golden telemetry day (Golden CO / Jan / HM2 /
 //!   MPPT&Opt), writes its JSONL stream under `results/`, renders the
 //!   per-period tracking timeline and cross-checks the stream's
-//!   tracking-error aggregate against the committed Table 7 artifact.
+//!   tracking-error aggregate against the committed Table 7 artifact;
+//!   fails if any tracking call on the day ended at the `max_rounds` cap.
 //! * `chaos` — runs the differential fault-injection campaign over every
 //!   scenario under `scenarios/`, enforcing the soundness gates (control
 //!   rows bit-transparent, zero false degradation trips) and rewriting
@@ -50,8 +51,8 @@
 //!   every workspace crate.
 //! * `ci`   — the one-command verification gate, in dependency order:
 //!   lint → docs → clippy → analyze → flow → doc → build → test →
-//!   determinism → chaos smoke → campaign smoke → profile smoke → tdiff
-//!   self-check → bench smoke → perfbench tests.
+//!   determinism → trace → chaos smoke → campaign smoke → profile smoke →
+//!   tdiff self-check → bench smoke → perfbench tests.
 //!
 //! Guarantees the toolchain already gives are configured there, not
 //! re-proved here: `unsafe_code = "forbid"` and the must-use lints in the
@@ -503,6 +504,13 @@ fn run_ci() -> ExitCode {
 
     println!("xtask ci: running xtask determinism");
     if run_determinism() != ExitCode::SUCCESS {
+        return ExitCode::FAILURE;
+    }
+
+    // Golden-day trace: the stream reproduces Table 7 and no tracking
+    // call ends at the round cap (DESIGN.md §8).
+    println!("xtask ci: running xtask trace");
+    if run_trace() != ExitCode::SUCCESS {
         return ExitCode::FAILURE;
     }
 
